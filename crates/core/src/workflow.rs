@@ -287,37 +287,18 @@ impl PreservedWorkflow {
                 // Per-stage wall-clock gauges: measurements, engine-dependent,
                 // only taken when a registry is attached.
                 let clocks = metrics.map(|m| {
-                    (
+                    [
                         m.gauge("time.generate_ns"),
                         m.gauge("time.simulate_ns"),
                         m.gauge("time.reconstruct_ns"),
-                    )
+                    ]
                 });
                 move |i: u64| {
-                    if let Some((t_gen, t_sim, t_reco)) = &clocks {
-                        let c0 = std::time::Instant::now();
-                        let truth = gen.event(i);
-                        let c1 = std::time::Instant::now();
-                        let raw = sim
-                            .simulate(&truth, i)
-                            .map_err(|e| Error::from(e).at(Stage::Simulate))?;
-                        let c2 = std::time::Instant::now();
-                        let (reco_ev, aod) = reco
-                            .process(&raw)
-                            .map_err(|e| Error::from(e).at(Stage::Reconstruct))?;
-                        let c3 = std::time::Instant::now();
-                        t_gen.add((c1 - c0).as_nanos() as i64);
-                        t_sim.add((c2 - c1).as_nanos() as i64);
-                        t_reco.add((c3 - c2).as_nanos() as i64);
-                        let reco_size = reco_ev.byte_size() as u64;
-                        return Ok((truth, raw, aod, reco_size));
-                    }
-                    let truth = gen.event(i);
-                    let raw = sim
-                        .simulate(&truth, i)
+                    let clock = |stage: usize| clocks.as_ref().map(|c| &c[stage]);
+                    let truth = clocked(clock(0), || gen.event(i));
+                    let raw = clocked(clock(1), || sim.simulate(&truth, i))
                         .map_err(|e| Error::from(e).at(Stage::Simulate))?;
-                    let (reco_ev, aod) = reco
-                        .process(&raw)
+                    let (reco_ev, aod) = clocked(clock(2), || reco.process(&raw))
                         .map_err(|e| Error::from(e).at(Stage::Reconstruct))?;
                     let reco_size = reco_ev.byte_size() as u64;
                     Ok((truth, raw, aod, reco_size))
@@ -543,6 +524,15 @@ impl PreservedWorkflow {
     ) -> Result<ProductionOutput, Error> {
         self.execute(ctx, &ExecOptions::from(runner))
     }
+}
+
+/// Run `f`, adding its wall time in ns to `gauge` when there is one.
+fn clocked<T>(gauge: Option<&daspos_obs::Gauge>, f: impl FnOnce() -> T) -> T {
+    let Some(gauge) = gauge else { return f() };
+    let start = std::time::Instant::now();
+    let out = f();
+    gauge.add(start.elapsed().as_nanos() as i64);
+    out
 }
 
 /// The span paths a complete chain trace must contain — the tier-1

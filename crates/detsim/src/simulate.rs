@@ -7,7 +7,6 @@
 //! reconstruction to undo the scales — losing the tag loses physics, which
 //! is exactly the preservation hazard DASPOS addresses.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use daspos_hep::event::TruthEvent;
@@ -25,6 +24,9 @@ use crate::raw::{CaloCell, MuonHit, RawEvent, TrackerHit};
 pub struct DetectorSimulation {
     config: DetectorConfig,
     conditions: Arc<dyn ConditionsSource>,
+    /// The conditions keys resolved per event: EM gain, hadronic gain,
+    /// tracker alignment scale.
+    keys: [IovKey; 3],
     seeds: SeedSequence,
     simulated: Option<daspos_obs::Counter>,
 }
@@ -40,6 +42,11 @@ impl DetectorSimulation {
         DetectorSimulation {
             config,
             conditions,
+            keys: [
+                IovKey::new("ecal/gain"),
+                IovKey::new("hcal/gain"),
+                IovKey::new("tracker/alignment-scale"),
+            ],
             seeds,
             simulated: None,
         }
@@ -76,26 +83,27 @@ impl DetectorSimulation {
         event_index: u64,
     ) -> Result<RawEvent, ConditionsError> {
         let run = truth.header.run.0;
+        let [ecal_gain_key, hcal_gain_key, align_key] = &self.keys;
         let ecal_gain = self
             .conditions
-            .get(&IovKey::new("ecal/gain"), run)?
+            .get(ecal_gain_key, run)?
             .as_scalar()
             .unwrap_or(1.0);
         let hcal_gain = self
             .conditions
-            .get(&IovKey::new("hcal/gain"), run)?
+            .get(hcal_gain_key, run)?
             .as_scalar()
             .unwrap_or(1.0);
         let align = self
             .conditions
-            .get(&IovKey::new("tracker/alignment-scale"), run)?
+            .get(align_key, run)?
             .as_scalar()
             .unwrap_or(1.0);
 
         let mut rng = StdRng::seed_from_u64(self.seeds.event("detsim", event_index));
         let mut raw = RawEvent::new(truth.header);
-        // Accumulate calo deposits per tower before smearing-threshold.
-        let mut towers: BTreeMap<(i32, i32), (f64, f64)> = BTreeMap::new();
+        // Calo deposits, folded per tower before the cell threshold.
+        let mut deposits: Vec<Deposit> = Vec::new();
         let mut stub: u32 = 0;
 
         for (truth_idx, p) in truth.particles.iter().enumerate() {
@@ -128,9 +136,7 @@ impl DetectorSimulation {
                 let (em_dep, had_dep) = self.calo_deposit(&mut rng, p.pdg, mom);
                 if em_dep + had_dep > 0.0 {
                     let key = self.tower_of(eta, mom.phi());
-                    let entry = towers.entry(key).or_insert((0.0, 0.0));
-                    entry.0 += em_dep * ecal_gain;
-                    entry.1 += had_dep * hcal_gain;
+                    deposits.push((key, em_dep * ecal_gain, had_dep * hcal_gain));
                 }
             }
 
@@ -168,24 +174,20 @@ impl DetectorSimulation {
             let phi = stats::uniform_phi(&mut rng);
             let e = stats::exponential(&mut rng, self.config.calo.noise_energy).unwrap_or(0.0);
             let key = self.tower_of(eta, phi);
-            let entry = towers.entry(key).or_insert((0.0, 0.0));
+            // -0.0 is the exact additive identity (x + -0.0 is x, bit for
+            // bit, zeros included): the other compartment is left as is.
             if stats::accept(&mut rng, 0.5) {
-                entry.0 += e;
+                deposits.push((key, e, -0.0));
             } else {
-                entry.1 += e;
+                deposits.push((key, -0.0, e));
             }
         }
 
-        for ((ieta, iphi), (em, had)) in towers {
-            if em + had >= self.config.calo.cell_threshold {
-                raw.calo_cells.push(CaloCell {
-                    ieta,
-                    iphi,
-                    em,
-                    had,
-                });
-            }
-        }
+        fold_towers(
+            deposits,
+            self.config.calo.cell_threshold,
+            &mut raw.calo_cells,
+        );
         if let Some(counter) = &self.simulated {
             counter.inc();
         }
@@ -319,6 +321,33 @@ impl DetectorSimulation {
     }
 }
 
+/// One calorimeter deposit, gain applied: tower `(ieta, iphi)`, EM and
+/// hadronic energy.
+type Deposit = ((i32, i32), f64, f64);
+
+/// Sum the deposits per tower and append every tower at or above
+/// `threshold` to `cells`, in `(ieta, iphi)` order. A stable sort keeps
+/// each tower's deposits in insertion order, and each sum starts from
+/// zero, so the towers round exactly as an ordered map accumulating the
+/// same deposits would.
+fn fold_towers(mut deposits: Vec<Deposit>, threshold: f64, cells: &mut Vec<CaloCell>) {
+    deposits.sort_by_key(|&(key, _, _)| key);
+    for tower in deposits.chunk_by(|a, b| a.0 == b.0) {
+        let (em, had) = tower.iter().fold((0.0, 0.0), |(em, had), &(_, dem, dhad)| {
+            (em + dem, had + dhad)
+        });
+        if em + had >= threshold {
+            let (ieta, iphi) = tower[0].0;
+            cells.push(CaloCell {
+                ieta,
+                iphi,
+                em,
+                had,
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,6 +355,8 @@ mod tests {
     use daspos_conditions::{ConditionsStore, DbSource, Payload, RunRange};
     use daspos_gen::{EventGenerator, GeneratorConfig};
     use daspos_hep::event::ProcessKind;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn conditions() -> Arc<ConditionsStore> {
         let s = Arc::new(ConditionsStore::new());
@@ -340,6 +371,80 @@ mod tests {
         }
         s.freeze("mc").unwrap();
         s
+    }
+
+    /// One tower update as the ordered-map fold made it: a gain-scaled
+    /// deposit adds to both compartments, a noise hit to only one.
+    type Update = ((i32, i32), Option<f64>, Option<f64>);
+
+    /// The ordered-map tower fold `fold_towers` replaced: the oracle it
+    /// must match bit for bit.
+    fn fold_towers_reference(updates: &[Update], threshold: f64) -> Vec<CaloCell> {
+        let mut towers: BTreeMap<(i32, i32), (f64, f64)> = BTreeMap::new();
+        for &(key, em, had) in updates {
+            let entry = towers.entry(key).or_insert((0.0, 0.0));
+            if let Some(em) = em {
+                entry.0 += em;
+            }
+            if let Some(had) = had {
+                entry.1 += had;
+            }
+        }
+        towers
+            .into_iter()
+            .filter(|(_, (em, had))| em + had >= threshold)
+            .map(|((ieta, iphi), (em, had))| CaloCell {
+                ieta,
+                iphi,
+                em,
+                had,
+            })
+            .collect()
+    }
+
+    fn cell_bits(cells: &[CaloCell]) -> Vec<(i32, i32, u64, u64)> {
+        cells
+            .iter()
+            .map(|c| (c.ieta, c.iphi, c.em.to_bits(), c.had.to_bits()))
+            .collect()
+    }
+
+    fn energy() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(-0.0), Just(1.25), 0.0f64..30.0]
+    }
+
+    /// Unsorted updates on a few towers, so every tower collects several
+    /// deposits; one in three updates touches one compartment only.
+    fn updates() -> impl Strategy<Value = Vec<Update>> {
+        let update = (-2i32..2, -2i32..2, 0u8..3, energy(), energy()).prop_map(
+            |(ieta, iphi, kind, em, had)| match kind {
+                0 => ((ieta, iphi), Some(em), None),
+                1 => ((ieta, iphi), None, Some(had)),
+                _ => ((ieta, iphi), Some(em), Some(had)),
+            },
+        );
+        prop::collection::vec(update, 0..50)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn sorted_tower_fold_matches_the_ordered_map_oracle_bit_for_bit(
+            ups in updates(),
+            threshold in prop_oneof![Just(0.0), Just(0.5), 0.0f64..20.0],
+        ) {
+            let deposits: Vec<Deposit> = ups
+                .iter()
+                .map(|&(key, em, had)| (key, em.unwrap_or(-0.0), had.unwrap_or(-0.0)))
+                .collect();
+            let mut cells = Vec::new();
+            fold_towers(deposits, threshold, &mut cells);
+            prop_assert_eq!(
+                cell_bits(&cells),
+                cell_bits(&fold_towers_reference(&ups, threshold))
+            );
+        }
     }
 
     fn sim(exp: Experiment) -> DetectorSimulation {

@@ -51,6 +51,8 @@ pub struct RecoProcessor {
     detector: DetectorConfig,
     config: RecoConfig,
     conditions: Arc<dyn ConditionsSource>,
+    /// The calibration keys resolved per event: EM gain, hadronic gain.
+    gain_keys: [IovKey; 2],
     reconstructed: Option<daspos_obs::Counter>,
 }
 
@@ -66,6 +68,7 @@ impl RecoProcessor {
             detector,
             config,
             conditions,
+            gain_keys: [IovKey::new("ecal/gain"), IovKey::new("hcal/gain")],
             reconstructed: None,
         }
     }
@@ -95,14 +98,15 @@ impl RecoProcessor {
     /// segments. This is the stage with the conditions dependency.
     pub fn reconstruct(&self, raw: &RawEvent) -> Result<RecoEvent, ConditionsError> {
         let run = raw.header.run.0;
+        let [em_gain_key, had_gain_key] = &self.gain_keys;
         let em_gain = self
             .conditions
-            .get(&IovKey::new("ecal/gain"), run)?
+            .get(em_gain_key, run)?
             .as_scalar()
             .unwrap_or(1.0);
         let had_gain = self
             .conditions
-            .get(&IovKey::new("hcal/gain"), run)?
+            .get(had_gain_key, run)?
             .as_scalar()
             .unwrap_or(1.0);
 

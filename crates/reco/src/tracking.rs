@@ -179,15 +179,13 @@ fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
     Some(x)
 }
 
-/// Group raw hits by stub and fit each group.
+/// Group raw hits by stub and fit each group, in ascending stub order
+/// with each group's hits in input order (a stable sort by stub).
 pub fn fit_all(hits: &[TrackerHit], field_tesla: f64) -> Vec<Track> {
-    use std::collections::BTreeMap;
-    let mut by_stub: BTreeMap<u32, Vec<TrackerHit>> = BTreeMap::new();
-    for h in hits {
-        by_stub.entry(h.stub).or_default().push(*h);
-    }
+    let mut by_stub = hits.to_vec();
+    by_stub.sort_by_key(|h| h.stub);
     let mut tracks: Vec<Track> = by_stub
-        .values()
+        .chunk_by(|a, b| a.stub == b.stub)
         .filter_map(|hs| fit_track(hs, field_tesla))
         .filter(|t| t.pt.is_finite() && t.pt > 0.05 && t.pt < 5000.0)
         .collect();
@@ -198,6 +196,7 @@ pub fn fit_all(hits: &[TrackerHit], field_tesla: f64) -> Vec<Track> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     use daspos_conditions::{ConditionsStore, DbSource, IovKey, Payload, RunRange};
@@ -372,6 +371,85 @@ mod tests {
             }
         }
         assert!(displaced > 20, "found {displaced} displaced tracks");
+    }
+
+    /// The ordered-map grouping `fit_all` replaced: the oracle it must
+    /// match bit for bit.
+    fn fit_all_reference(hits: &[TrackerHit], field_tesla: f64) -> Vec<Track> {
+        use std::collections::BTreeMap;
+        let mut by_stub: BTreeMap<u32, Vec<TrackerHit>> = BTreeMap::new();
+        for h in hits {
+            by_stub.entry(h.stub).or_default().push(*h);
+        }
+        let mut tracks: Vec<Track> = by_stub
+            .values()
+            .filter_map(|hs| fit_track(hs, field_tesla))
+            .filter(|t| t.pt.is_finite() && t.pt > 0.05 && t.pt < 5000.0)
+            .collect();
+        tracks.sort_by(|a, b| b.pt.total_cmp(&a.pt));
+        tracks
+    }
+
+    fn track_bits(tracks: &[Track]) -> Vec<[u64; 12]> {
+        tracks
+            .iter()
+            .map(|t| {
+                [
+                    t.pt.to_bits(),
+                    t.eta.to_bits(),
+                    t.phi.to_bits(),
+                    t.charge as u64,
+                    t.d0.to_bits(),
+                    t.z0.to_bits(),
+                    u64::from(t.n_hits),
+                    t.first_hit_radius.to_bits(),
+                    t.circle_cx.to_bits(),
+                    t.circle_cy.to_bits(),
+                    t.circle_r.to_bits(),
+                    t.cot_theta.to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// Hits of up to eight stubs, interleaved in random order: each stub
+    /// lies near its own circle through the beamline, so most groups of
+    /// three or more fit, and groups of one or two hits are common.
+    fn interleaved_hits() -> impl Strategy<Value = Vec<TrackerHit>> {
+        let hit = (
+            0u32..8,
+            0u8..6,
+            -1.6f64..-1.2,
+            -0.5f64..0.5,
+            -200.0f64..200.0,
+        )
+            .prop_map(|(stub, layer, angle, jitter, z)| {
+                let r = 800.0 * f64::from(stub + 1);
+                let (cx, cy) = if stub % 2 == 0 { (0.0, r) } else { (r, 0.0) };
+                TrackerHit {
+                    layer,
+                    x: cx + r * angle.cos() + jitter,
+                    y: cy + r * angle.sin() - jitter,
+                    z,
+                    stub,
+                }
+            });
+        prop::collection::vec(hit, 0..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn sorted_stub_grouping_matches_the_ordered_map_oracle_bit_for_bit(
+            hits in interleaved_hits(),
+            field in prop_oneof![Just(2.0), Just(3.8), 0.5f64..4.0],
+        ) {
+            prop_assert_eq!(
+                track_bits(&fit_all(&hits, field)),
+                track_bits(&fit_all_reference(&hits, field))
+            );
+        }
     }
 
     #[test]

@@ -648,12 +648,19 @@ where
 /// truncating the count would archive a file claiming fewer events than
 /// it holds — a preservation corruption worse than an aborted write.
 fn put_file_header(buf: &mut BytesMut, tier: DataTier, version: u16, n_events: usize) {
-    let n = u32::try_from(n_events)
-        .unwrap_or_else(|_| panic!("event count {n_events} exceeds the u32 DPEF count field"));
     buf.put_slice(MAGIC);
     buf.put_u16_le(version);
     buf.put_u8(tier.code());
-    buf.put_u32_le(n);
+    buf.put_u32_le(count_field(n_events));
+}
+
+/// Bytes of the DPEF file header; the event count is its last four.
+const FILE_HEADER_LEN: usize = MAGIC.len() + 2 + 1 + 4;
+
+/// The header's u32 event count, or a panic (see [`put_file_header`]).
+fn count_field(n_events: usize) -> u32 {
+    u32::try_from(n_events)
+        .unwrap_or_else(|_| panic!("event count {n_events} exceeds the u32 DPEF count field"))
 }
 
 /// Frame one event: length prefix + payload, encoded directly into
@@ -901,13 +908,14 @@ impl<T: Encodable> EventReader<T> {
     }
 }
 
-/// An incremental DPEF encoder: frames events one at a time while
-/// reusing a single payload scratch buffer, then stamps the file header
-/// with the final count. Byte-identical to [`Encodable::encode_events`]
-/// over the same event sequence — the single-pass skim uses it to write
-/// survivors without first materializing them in a vector.
+/// An incremental DPEF encoder: writes the file header up front, frames
+/// events one at a time straight after it, then backpatches the header's
+/// event count. Byte-identical to [`Encodable::encode_events`] over the
+/// same event sequence — the single-pass skim uses it to write survivors
+/// without first materializing them in a vector.
 pub struct EventWriter<T: Encodable> {
-    body: BytesMut,
+    /// The file so far: header (count still zero), then the frames.
+    file: BytesMut,
     n_events: usize,
     meter: Option<(daspos_obs::Gauge, daspos_obs::Gauge)>,
     _marker: std::marker::PhantomData<T>,
@@ -916,12 +924,7 @@ pub struct EventWriter<T: Encodable> {
 impl<T: Encodable> EventWriter<T> {
     /// An empty writer.
     pub fn new() -> EventWriter<T> {
-        EventWriter {
-            body: BytesMut::new(),
-            n_events: 0,
-            meter: None,
-            _marker: std::marker::PhantomData,
-        }
+        EventWriter::with_capacity(0)
     }
 
     /// An empty writer whose body buffer is pre-sized for `bytes` of
@@ -930,9 +933,13 @@ impl<T: Encodable> EventWriter<T> {
     /// for the ~20 doubling reallocs a multi-MB body would otherwise
     /// copy through.
     pub fn with_capacity(bytes: usize) -> EventWriter<T> {
+        let mut file = BytesMut::with_capacity(FILE_HEADER_LEN + bytes);
+        put_file_header(&mut file, T::TIER, FORMAT_VERSION, 0);
         EventWriter {
-            body: BytesMut::with_capacity(bytes),
-            ..EventWriter::new()
+            file,
+            n_events: 0,
+            meter: None,
+            _marker: std::marker::PhantomData,
         }
     }
 
@@ -950,12 +957,12 @@ impl<T: Encodable> EventWriter<T> {
 
     /// Frame one event.
     pub fn push(&mut self, ev: &T) {
-        let before = self.body.len();
-        put_frame(&mut self.body, ev, &T::put);
+        let before = self.file.len();
+        put_frame(&mut self.file, ev, &T::put);
         self.n_events += 1;
         if let Some((events, bytes)) = &self.meter {
             events.add(1);
-            bytes.add((self.body.len() - before) as i64);
+            bytes.add((self.file.len() - before) as i64);
         }
     }
 
@@ -969,13 +976,11 @@ impl<T: Encodable> EventWriter<T> {
         self.n_events == 0
     }
 
-    /// Assemble the DPEF file: header (with the final event count) then
-    /// the framed body.
-    pub fn finish(self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.body.len());
-        put_file_header(&mut buf, T::TIER, FORMAT_VERSION, self.n_events);
-        buf.put_slice(&self.body);
-        buf.freeze()
+    /// The DPEF file: stamp the final event count into the header.
+    pub fn finish(mut self) -> Bytes {
+        let count = count_field(self.n_events).to_le_bytes();
+        self.file[FILE_HEADER_LEN - count.len()..FILE_HEADER_LEN].copy_from_slice(&count);
+        self.file.freeze()
     }
 }
 

@@ -2200,6 +2200,11 @@ fn skim_columnar_core(
             .add(N_COLUMNS as u64 - read);
     }
 
+    // The decoded input columns and the raw scratch are dead here: free
+    // them before the output is assembled rather than hold them across
+    // the pass's largest allocation.
+    drop(cache);
+    drop(raw);
     let out = assemble_file(COLUMNAR_VERSION, n_out as u32, &frames);
     let report = SkimReport {
         events_in: cf.n_rows as u64,

@@ -102,22 +102,31 @@ fn golden_corpus_is_reproduced_byte_for_byte() {
         "golden corpus missing — generate it once with \
          DASPOS_GOLDEN_REFRESH=1 cargo test --test golden_corpus"
     );
-    for (name, expected) in &corpus {
-        let stored = std::fs::read(dir.join(name))
-            .unwrap_or_else(|e| panic!("cannot read golden {name}: {e}"));
-        assert_eq!(
-            fnv64(&stored),
-            fnv64(expected),
-            "golden {name} drifted: stored {} bytes (fnv64 {:016x}), \
-             rebuilt {} bytes (fnv64 {:016x}) — if the change is intended, \
-             refresh with DASPOS_GOLDEN_REFRESH=1",
-            stored.len(),
-            fnv64(&stored),
-            expected.len(),
-            fnv64(expected)
-        );
-        assert_eq!(&stored, expected, "fnv64 collision? bytes differ for {name}");
-    }
+    // Compare every file before failing, so one drifted artifact cannot
+    // hide the state of the others.
+    let drifted: Vec<String> = corpus
+        .iter()
+        .filter_map(|(name, expected)| {
+            let stored = std::fs::read(dir.join(name))
+                .unwrap_or_else(|e| panic!("cannot read golden {name}: {e}"));
+            (&stored != expected).then(|| {
+                format!(
+                    "{name}: stored {} bytes (fnv64 {:016x}), rebuilt {} bytes (fnv64 {:016x})",
+                    stored.len(),
+                    fnv64(&stored),
+                    expected.len(),
+                    fnv64(expected)
+                )
+            })
+        })
+        .collect();
+    assert!(
+        drifted.is_empty(),
+        "{} golden file(s) drifted — if the change is intended, refresh with \
+         DASPOS_GOLDEN_REFRESH=1:\n  {}",
+        drifted.len(),
+        drifted.join("\n  ")
+    );
 }
 
 #[test]
