@@ -32,14 +32,7 @@ pub const DIGEST_PREFIX: &str = "digest ";
 
 /// FNV-1a 64 — the digest the `digest` line carries, computed over the
 /// raw text that follows that line.
-pub fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+pub use daspos_hep::fnv64;
 
 /// Render one entry line.
 pub fn format_entry(key: &IovKey, range: RunRange, payload: &Payload) -> String {

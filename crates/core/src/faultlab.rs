@@ -210,6 +210,12 @@ pub enum MutationKind {
         /// The byte-level mutation applied to the results text.
         sub: Box<MutationKind>,
     },
+    /// Replace a stored copy wholesale with the honestly digested
+    /// envelope of an earlier, fully valid generation of the same key —
+    /// what a write that never reached this backend leaves behind. Only
+    /// the generation vote tells it apart. VaultReplica sub-mutation
+    /// only.
+    StaleGeneration,
     /// Damage one replica's stored copy of one vault object: apply `sub`
     /// to that replica's envelope bytes and write the result back to the
     /// backend, leaving the other replicas pristine. VaultReplica class
@@ -376,6 +382,7 @@ impl fmt::Display for MutationKind {
                 write!(f, "duplicate {len} bytes @{start}")
             }
             MutationKind::ForgeResults { sub } => write!(f, "forge results [{sub}]"),
+            MutationKind::StaleGeneration => write!(f, "stale generation"),
             MutationKind::VaultReplica { key, replica, sub } => {
                 write!(f, "vault {key} replica {replica} [{sub}]")
             }
@@ -425,6 +432,9 @@ impl MutationKind {
             }
             MutationKind::VaultReplica { .. } => {
                 unreachable!("VaultReplica is applied through the vault API")
+            }
+            MutationKind::StaleGeneration => {
+                unreachable!("StaleGeneration is read from the fixture's earlier envelopes")
             }
             MutationKind::ServeFrame { .. } => {
                 unreachable!("ServeFrame is applied to the fixture's frame bytes")
@@ -617,6 +627,10 @@ pub struct CampaignFixture {
     /// Pristine replica bytes (the encoded envelope) per vault object,
     /// aligned with `vault_objects`.
     pub vault_envelopes: Vec<Bytes>,
+    /// The envelope of an earlier, fully valid generation of each vault
+    /// object — the stale copy a missed write leaves behind — aligned
+    /// with `vault_objects`.
+    pub vault_earlier_envelopes: Vec<Bytes>,
     /// Per-object envelope shapes for the mutation sampler, aligned with
     /// `vault_objects`.
     vault_shapes: Vec<ArtifactShape>,
@@ -770,6 +784,18 @@ impl CampaignFixture {
             ArtifactShape::text(&conditions_text),
             ArtifactShape::text(&results_text),
         ];
+        let forge = ForgeTemplate::build(&archive, &archive_bytes);
+        // An earlier generation of every object, each valid for its
+        // kind: a run over the first half of the events, results text
+        // from before a later re-run, and the digest-less snapshot form
+        // older archives carry.
+        let earlier_events = &output.aod_events[..output.aod_events.len() / 2];
+        let earlier_results = format!("# superseded run\n{results_text}");
+        let earlier_conditions: String = conditions_text
+            .lines()
+            .filter(|line| !line.starts_with(daspos_conditions::text::DIGEST_PREFIX))
+            .map(|line| format!("{line}\n"))
+            .collect();
         // The vault holds one object of every kind the toolkit ships, in
         // key order. Envelope shapes reuse the payload's structural
         // boundaries, shifted past the envelope header.
@@ -778,37 +804,44 @@ impl CampaignFixture {
                 "aod.dpcf",
                 ObjectKind::ColumnarAod,
                 columnar_aod.clone(),
+                ColumnarFile::from_rows(earlier_events),
                 &col_shape,
             ),
             (
                 "archive.dpar",
                 ObjectKind::Container,
                 archive_bytes.clone(),
+                Bytes::from(forge.render(earlier_results.as_bytes())),
                 &byte_shapes[ArtifactClass::Archive as usize],
             ),
             (
                 "conditions.txt",
                 ObjectKind::ConditionsText,
                 Bytes::from(conditions_text.clone().into_bytes()),
+                Bytes::from(earlier_conditions),
                 &byte_shapes[ArtifactClass::ConditionsText as usize],
             ),
             (
                 "results.txt",
                 ObjectKind::Opaque,
                 Bytes::from(results_text.clone().into_bytes()),
+                Bytes::from(earlier_results),
                 &byte_shapes[ArtifactClass::ResultsText as usize],
             ),
             (
                 "tier-aod.dpef",
                 ObjectKind::SealedTier,
                 sealed_aod.clone(),
+                codec::seal(&AodEvent::encode_events(earlier_events)),
                 &byte_shapes[ArtifactClass::TierAod as usize],
             ),
         ];
         let mut vault_objects = Vec::with_capacity(sources.len());
         let mut vault_envelopes = Vec::with_capacity(sources.len());
+        let mut vault_earlier_envelopes = Vec::with_capacity(sources.len());
         let mut vault_shapes = Vec::with_capacity(sources.len());
-        for (key, kind, payload, source) in sources {
+        for (key, kind, payload, earlier, source) in sources {
+            vault_earlier_envelopes.push(encode_envelope(kind, &earlier));
             let envelope = encode_envelope(kind, &payload);
             let mut boundaries = vec![ENVELOPE_OVERHEAD];
             boundaries.extend(source.boundaries.iter().map(|b| b + ENVELOPE_OVERHEAD));
@@ -860,7 +893,6 @@ impl CampaignFixture {
             serve_request_shape,
             vault_shard_shapes[0].clone(),
         ];
-        let forge = ForgeTemplate::build(&archive, &archive_bytes);
         Ok(CampaignFixture {
             workflow,
             sealed_aod,
@@ -876,6 +908,7 @@ impl CampaignFixture {
             results_text,
             vault_objects,
             vault_envelopes,
+            vault_earlier_envelopes,
             vault_shapes,
             vault_shard_shapes,
             serve_request,
@@ -1072,10 +1105,15 @@ pub fn derive_mutation(
     let mut rng = StdRng::seed_from_u64(seed);
     let kind = if class == ArtifactClass::VaultReplica {
         // Pick a stored object, pick a replica, then sample a byte-level
-        // attack over that object's envelope.
+        // attack over that object's envelope. One drill in eight swaps
+        // the attack for a stale generation (drawn after the attack, so
+        // every other drill keeps its plan).
         let object = rng.gen_range(0..fixture.vault_objects.len());
         let replica = rng.gen_range(0..VAULT_REPLICAS);
-        let sub = sample_kind(&mut rng, &fixture.vault_shapes[object], None);
+        let mut sub = sample_kind(&mut rng, &fixture.vault_shapes[object], None);
+        if rng.gen_range(0..8u32) == 0 {
+            sub = MutationKind::StaleGeneration;
+        }
         MutationKind::VaultReplica {
             key: fixture.vault_objects[object].0.clone(),
             replica,
@@ -1224,8 +1262,15 @@ pub fn mutate_artifact(
             fixture.forge.render(&mutated_results)
         }
         MutationKind::VaultReplica { key, sub, .. } => {
-            let envelope = fixture.vault_envelope(key).expect("fixture vault key");
-            sub.apply(envelope)
+            let i = fixture
+                .vault_objects
+                .iter()
+                .position(|(k, _, _)| k == key)
+                .expect("fixture vault key");
+            match **sub {
+                MutationKind::StaleGeneration => fixture.vault_earlier_envelopes[i].to_vec(),
+                _ => sub.apply(&fixture.vault_envelopes[i]),
+            }
         }
         MutationKind::ServeFrame { response, sub } => {
             let frame = if *response {
@@ -1701,7 +1746,8 @@ fn check_results_text(
 /// stronger vault invariant: the damage is *detected and repaired
 /// byte-identically* (every replica of every object ends the scrub
 /// holding its pristine envelope), or the mutation never changed the
-/// bytes at all.
+/// bytes at all. A stale generation is valid on its own, so only the
+/// generation vote can detect it.
 fn check_vault_replica(
     fixture: &CampaignFixture,
     key: &str,
@@ -1733,6 +1779,10 @@ fn check_vault_replica(
         Ok(r) => r,
         Err(e) => return Outcome::Violation(format!("scrub errored: {e}")),
     };
+    let pristine = fixture.vault_envelope(key).expect("fixture vault key");
+    if mutated != pristine && report.corrupt + report.missing == 0 {
+        return Outcome::Violation("divergent replica copy went undetected".to_string());
+    }
     if !report.clean() {
         return Outcome::Violation(format!("scrub left damage behind: {}", report.to_text()));
     }
@@ -1754,12 +1804,9 @@ fn check_vault_replica(
             }
         }
     }
-    let pristine = fixture.vault_envelope(key).expect("fixture vault key");
     if mutated == pristine {
         // e.g. a region swapped with itself: the copy never changed.
         Outcome::Harmless
-    } else if report.corrupt + report.missing == 0 {
-        Outcome::Violation("divergent replica copy went undetected".to_string())
     } else {
         Outcome::Detected("scrub:repaired".to_string())
     }
@@ -2553,6 +2600,41 @@ mod tests {
             "{:?}",
             report.classes[0].detections_by_layer
         );
+    }
+
+    #[test]
+    fn stale_generation_drills_are_valid_and_outvoted() {
+        let cfg = small_config();
+        let fixture = CampaignFixture::build(&cfg).unwrap();
+        for (i, (key, kind, payload)) in fixture.vault_objects.iter().enumerate() {
+            let earlier = &fixture.vault_earlier_envelopes[i];
+            assert_ne!(earlier, &fixture.vault_envelopes[i], "{key}");
+            // Valid on its own: a vault holding nothing but the earlier
+            // generation reads it back through the deep verifiers.
+            let backend = Arc::new(MemoryBackend::new());
+            backend.put(key, earlier).unwrap();
+            let vault = Vault::builder()
+                .verifier(Arc::new(ContainerVerifier))
+                .backends(vec![backend as Arc<dyn StorageBackend>])
+                .build()
+                .unwrap();
+            let (got_kind, got) = vault.get(key).unwrap();
+            assert_eq!(got_kind, *kind, "{key}");
+            assert_ne!(&got, payload, "{key}");
+            // Yet one stale copy among three is outvoted and repaired.
+            for replica in 0..VAULT_REPLICAS {
+                let outcome = check_vault_replica(&fixture, key, replica, earlier);
+                assert_eq!(outcome, Outcome::Detected("scrub:repaired".to_string()), "{key}");
+            }
+        }
+        let planned = (0..64)
+            .map(|i| derive_mutation(&cfg, &fixture, ArtifactClass::VaultReplica, i))
+            .filter(|m| {
+                matches!(&m.kind, MutationKind::VaultReplica { sub, .. }
+                    if **sub == MutationKind::StaleGeneration)
+            })
+            .count();
+        assert!(planned > 0, "the campaign plans stale-generation drills");
     }
 
     #[test]

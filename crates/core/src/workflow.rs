@@ -447,9 +447,12 @@ impl PreservedWorkflow {
         ctx.provenance.declare_root(raw_ds);
         ctx.provenance
             .record(
+                // The canonical record names the sequential execution
+                // every thread count reproduces byte for byte; the real
+                // count lives on the `exec.threads` gauge.
                 StepBuilder::new(
                     StepKind::Reconstruction,
-                    format!("{} threads={threads}", reco.describe()),
+                    format!("{} threads=1", reco.describe()),
                     ctx.software.clone(),
                 )
                 .conditions(&self.conditions_tag)
@@ -509,20 +512,6 @@ impl PreservedWorkflow {
             aod_events,
             analysis_results,
         })
-    }
-
-    /// Execute with the old `RunnerConfig`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `execute(ctx, &ExecOptions::new().threads(n))`"
-    )]
-    #[allow(deprecated)]
-    pub fn execute_with(
-        &self,
-        ctx: &ExecutionContext,
-        runner: &crate::runner::RunnerConfig,
-    ) -> Result<ProductionOutput, Error> {
-        self.execute(ctx, &ExecOptions::from(runner))
     }
 }
 
@@ -635,11 +624,7 @@ pub fn populate_conditions(
     store: &ConditionsStore,
     tag: &str,
 ) -> Result<(), daspos_conditions::ConditionsError> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tag.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = daspos_hep::fnv64(tag.as_bytes());
     let ecal = 1.0 + (h % 11) as f64 * 0.01;
     let hcal = 1.0 + ((h >> 8) % 9) as f64 * 0.01;
     store.create_tag(tag)?;

@@ -9,6 +9,7 @@
 //! * [`stats`] — the random distributions and running statistics used by the
 //!   synthetic generator and detector simulation,
 //! * [`hist`] — weighted histograms, the lingua franca of HEP results,
+//! * [`fnv`] — the FNV-1a 64 content digest every layer shares,
 //! * [`seq`] — deterministic seed derivation so every pipeline stage is
 //!   reproducible from a single master seed (a preservation requirement).
 //!
@@ -19,6 +20,7 @@
 
 pub mod error;
 pub mod event;
+pub mod fnv;
 pub mod fourvec;
 pub mod hist;
 pub mod ids;
@@ -29,6 +31,7 @@ pub mod units;
 
 pub use error::HepError;
 pub use event::{EventHeader, EventId, LumiBlockId, ProcessKind, RunId, TruthEvent};
+pub use fnv::{fnv64, fnv64_fold, FNV_BASIS};
 pub use fourvec::FourVector;
 pub use hist::{Hist1D, Hist2D};
 pub use particle::{Charge, ParticleStatus, PdgId, TruthParticle};

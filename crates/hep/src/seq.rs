@@ -20,17 +20,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a label string, used to fold stage names into streams.
-#[inline]
-fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// A deterministic seed source rooted at a master seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeedSequence {
@@ -50,7 +39,7 @@ impl SeedSequence {
 
     /// Seed for a named processing stage (e.g. `"gen"`, `"detsim"`).
     pub fn stage(&self, label: &str) -> u64 {
-        let mut state = self.master ^ fnv1a(label);
+        let mut state = self.master ^ crate::fnv64(label.as_bytes());
         splitmix64(&mut state)
     }
 

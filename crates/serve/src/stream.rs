@@ -38,20 +38,11 @@ pub const MANIFEST_MAGIC: &[u8; 4] = b"DPSM";
 /// Current manifest wire version.
 pub const MANIFEST_VERSION: u16 = 1;
 
-/// FNV-1a 64 offset basis — the digest of zero bytes.
-pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold more bytes into a running FNV-1a 64 state. Because FNV-1a is a
-/// sequential byte fold, `fnv64_fold(fnv64_fold(FNV_BASIS, a), b)`
-/// equals `codec::fnv64(a ++ b)` — which is what lets both ends verify
-/// a multi-gigabyte object digest while ever holding one chunk.
-pub fn fnv64_fold(mut h: u64, data: &[u8]) -> u64 {
-    for b in data {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// The running FNV-1a 64 fold. Because FNV-1a is a sequential byte
+/// fold, `fnv64_fold(fnv64_fold(FNV_BASIS, a), b)` equals
+/// `codec::fnv64(a ++ b)` — which is what lets both ends verify a
+/// multi-gigabyte object digest while ever holding one chunk.
+pub use daspos_tiers::codec::{fnv64_fold, FNV_BASIS};
 
 /// The chunk geometry of a streamed object, carried by the `GetBegin`
 /// response payload and (with the kind and generation) by the stored

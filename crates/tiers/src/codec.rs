@@ -133,17 +133,10 @@ impl CodecError {
     }
 }
 
-/// FNV-1a 64 over a byte slice — the toolkit's standard content digest,
-/// shared by the integrity seal, the archive container and the
-/// conditions-snapshot text form.
-pub fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// FNV-1a 64 — the toolkit's standard content digest, shared by the
+/// integrity seal, the archive container and the conditions-snapshot
+/// text form (defined once in `daspos-hep`).
+pub use daspos_hep::{fnv64, fnv64_fold, FNV_BASIS};
 
 /// Magic of the integrity seal: "DASPOS Sealed".
 pub const SEAL_MAGIC: &[u8; 4] = b"DPSL";

@@ -1097,16 +1097,6 @@ fn decode_records(
     Ok(())
 }
 
-/// FNV-1a over one record's bytes, for the dictionary cost probe.
-fn hash_record(r: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in r {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Exact body size the dictionary encoder would emit for `records`,
 /// or `None` when the cardinality exceeds the 256-entry index range —
 /// the probe bails exactly where [`encode_records`] would. Distinct
@@ -1119,7 +1109,7 @@ fn dict_probe(records: &[u8], rec: usize) -> Option<usize> {
     let mut slots = [0u32; SLOTS]; // record index + 1; 0 marks empty
     let mut distinct = 0usize;
     for (i, r) in records.chunks_exact(rec).enumerate() {
-        let mut s = (hash_record(r) as usize) & (SLOTS - 1);
+        let mut s = (fnv64(r) as usize) & (SLOTS - 1);
         loop {
             let j = slots[s] as usize;
             if j == 0 {

@@ -21,7 +21,7 @@
 
 use bytes::Bytes;
 use daspos_conditions::Snapshot;
-use daspos_tiers::codec::{self, fnv64};
+use daspos_tiers::codec::{self, fnv64_fold, FNV_BASIS};
 
 /// Envelope magic: **D**ASPOS **P**reservation **V**ault **O**bject.
 pub const ENVELOPE_MAGIC: &[u8; 4] = b"DPVO";
@@ -158,12 +158,10 @@ impl std::fmt::Display for EnvelopeError {
 impl std::error::Error for EnvelopeError {}
 
 /// The digest an envelope stores: fnv64 over the kind byte followed by
-/// the payload, so kind and payload corrupt together.
+/// the payload, so kind and payload corrupt together. Folded in two
+/// steps, so the payload is never copied.
 pub fn envelope_digest(kind: ObjectKind, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(1 + payload.len());
-    buf.push(kind.as_u8());
-    buf.extend_from_slice(payload);
-    fnv64(&buf)
+    fnv64_fold(fnv64_fold(FNV_BASIS, &[kind.as_u8()]), payload)
 }
 
 /// Wrap `payload` in a `DPVO` envelope.
@@ -201,6 +199,15 @@ pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeErro
         return Err(EnvelopeError::Digest { stored, computed });
     }
     Ok((kind, payload))
+}
+
+/// The kind, stored digest and payload of an envelope that
+/// [`decode_envelope`] already accepted, read straight from the header
+/// without hashing the payload again.
+pub(crate) fn split_decoded_envelope(data: &Bytes) -> (ObjectKind, u64, Bytes) {
+    let kind = ObjectKind::from_u8(data[6]).expect("decoded envelopes carry a known kind");
+    let digest = u64::from_le_bytes(data[7..15].try_into().expect("8-byte slice"));
+    (kind, digest, data.slice(ENVELOPE_OVERHEAD..))
 }
 
 /// A deep integrity check for one [`ObjectKind`], applied by scrub (and

@@ -29,7 +29,7 @@
 //! the shard in a minority generation that reconstruction outvotes.
 
 use bytes::Bytes;
-use daspos_tiers::codec::fnv64;
+use daspos_tiers::codec::{fnv64_fold, FNV_BASIS};
 
 /// Shard envelope magic: **D**ASPOS **P**reservation **V**ault **S**hard.
 pub const SHARD_MAGIC: &[u8; 4] = b"DPVS";
@@ -96,14 +96,13 @@ impl std::error::Error for ShardError {}
 /// The digest a shard envelope stores: fnv64 over the header fields the
 /// stripe depends on, then the payload.
 pub fn shard_digest(header: &ShardHeader, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(15 + payload.len());
-    buf.push(header.index);
-    buf.push(header.k);
-    buf.push(header.m);
-    buf.extend_from_slice(&header.object_len.to_le_bytes());
-    buf.extend_from_slice(&header.object_digest.to_le_bytes());
-    buf.extend_from_slice(payload);
-    fnv64(&buf)
+    let mut fields = [0u8; 15];
+    fields[0] = header.index;
+    fields[1] = header.k;
+    fields[2] = header.m;
+    fields[3..7].copy_from_slice(&header.object_len.to_le_bytes());
+    fields[7..15].copy_from_slice(&header.object_digest.to_le_bytes());
+    fnv64_fold(fnv64_fold(FNV_BASIS, &fields), payload)
 }
 
 /// Wrap one shard in a `DPVS` envelope.

@@ -2,13 +2,13 @@
 //! scrubbing, repair, and checksum-verified reads.
 //!
 //! A [`Vault`] spreads every object across a pool of
-//! [`StorageBackend`]s under a [`Redundancy`] mode chosen at build time:
+//! [`StorageBackend`]s under a [`Redundancy`] mode chosen at build time.
+//! Both modes store an object as one *stripe* of slots, one slot per
+//! placed backend, and differ only in what a slot holds:
 //!
-//! - [`Redundancy::Replicas`] — every backend stores a full
-//!   checksum-carrying `DPVO` envelope. Reads walk the backends in
-//!   order and return the first copy that passes the envelope digest
-//!   and the deep [`Verifier`] for its kind, transparently falling back
-//!   past damaged copies (and optionally healing them in passing).
+//! - [`Redundancy::Replicas`] — a `k = 1` stripe: every slot holds the
+//!   full checksum-carrying `DPVO` envelope, and any one healthy copy
+//!   of the winning generation recovers the object.
 //! - [`Redundancy::Erasure`] — the `DPVO` envelope is split into `k`
 //!   data + `m` parity shards (XOR for `m = 1`, GF(256) Reed–Solomon
 //!   beyond), each wrapped in a digested `DPVS` shard envelope and
@@ -17,11 +17,19 @@
 //!   shards is reported loudly as [`VaultError::Unrecoverable`] — the
 //!   vault never fabricates bytes.
 //!
+//! Reads and scans run one slot pipeline: classify every slot as
+//! healthy (tagged with the write generation it belongs to), corrupt or
+//! missing; vote for the generation the most healthy slots back;
+//! recover that generation's object; then heal or repair every slot
+//! that is corrupt, missing or stranded in an outvoted generation. A
+//! replica read therefore votes instead of taking the first copy that
+//! verifies, and a stale but valid copy left behind by an earlier write
+//! is outvoted and rewritten exactly like a stale shard.
+//!
 //! The [`scrub`](Vault::scrub) pass makes read-time resilience a
 //! recurring, deterministic sweep: it walks the union of keys across
-//! all backends, classifies every copy or shard as healthy, corrupt,
-//! or missing, and rewrites damage byte-identically — from a verified
-//! copy in replica mode, by erasure reconstruction in sharded mode.
+//! all backends and rewrites damage byte-identically — copied from the
+//! winning replica, or rebuilt from surviving shards.
 //!
 //! Every backend operation runs under the vault's
 //! [`RetryPolicy`](crate::RetryPolicy); transient failures are retried
@@ -42,8 +50,8 @@ use daspos_tiers::codec::fnv64;
 use crate::backend::{StorageBackend, StorageError};
 use crate::erasure::Erasure;
 use crate::object::{
-    decode_envelope, encode_envelope, ColumnarVerifier, ConditionsVerifier, ObjectKind,
-    SealedTierVerifier, Verifier,
+    decode_envelope, encode_envelope, split_decoded_envelope, ColumnarVerifier,
+    ConditionsVerifier, ObjectKind, SealedTierVerifier, Verifier,
 };
 use crate::policy::RetryPolicy;
 use crate::shard::{decode_shard, encode_shard, ShardHeader};
@@ -158,20 +166,22 @@ impl fmt::Display for Redundancy {
     }
 }
 
-/// How erasure shards map to backends. Irrelevant under
-/// [`Redundancy::Replicas`] (every backend holds a full copy).
+/// How stripe slots map to backends.
 ///
 /// Both policies guarantee the placement invariant: with at least
-/// `k + m` backends, no backend ever holds two shards of one stripe,
-/// so losing one backend costs a stripe at most one shard.
+/// `k + m` backends, no backend ever holds two slots of one stripe, so
+/// losing one backend costs a stripe at most one slot. Under
+/// [`Redundancy::Replicas`] every slot is the same full copy and every
+/// backend holds one, so the policy only changes the order copies are
+/// read in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicy {
-    /// Shard `i` of `key` lands on backend
+    /// Slot `i` of `key` lands on backend
     /// `(fnv64(key) + i) mod B` — stripes start on different backends
     /// per key, spreading parity (and rebuild load) across the pool.
     #[default]
     KeyRotation,
-    /// Shard `i` always lands on backend `i` — data shards cluster on
+    /// Slot `i` always lands on backend `i` — data shards cluster on
     /// the first `k` backends. Useful for tests and debugging.
     Identity,
 }
@@ -217,20 +227,10 @@ impl VaultBuilder {
         self
     }
 
-    /// Choose the shard placement policy (erasure mode only; default
+    /// Choose the slot placement policy (default
     /// [`PlacementPolicy::KeyRotation`]).
     pub fn placement(mut self, placement: PlacementPolicy) -> VaultBuilder {
         self.placement = placement;
-        self
-    }
-
-    /// Add one replica backend.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `backends(vec![...])` + `redundancy(Redundancy::Replicas(n))`"
-    )]
-    pub fn replica(mut self, backend: Arc<dyn StorageBackend>) -> VaultBuilder {
-        self.backends.push(backend);
         self
     }
 
@@ -247,7 +247,7 @@ impl VaultBuilder {
         self
     }
 
-    /// Whether `get` rewrites damaged copies it had to fall back past
+    /// Whether `get` rewrites damaged or outvoted slots it read past
     /// (default true).
     pub fn heal_on_get(mut self, heal: bool) -> VaultBuilder {
         self.heal_on_get = heal;
@@ -270,7 +270,7 @@ impl VaultBuilder {
         let redundancy = self
             .redundancy
             .unwrap_or(Redundancy::Replicas(self.backends.len()));
-        let erasure = match redundancy {
+        let (layout, width) = match redundancy {
             Redundancy::Replicas(n) => {
                 if n == 0 || n != self.backends.len() {
                     return Err(VaultError::Geometry(format!(
@@ -278,7 +278,7 @@ impl VaultBuilder {
                         self.backends.len()
                     )));
                 }
-                None
+                (Layout::Replicas, n)
             }
             Redundancy::Erasure { k, m } => {
                 let ec = Erasure::new(k, m).map_err(|e| VaultError::Geometry(e.to_string()))?;
@@ -289,14 +289,15 @@ impl VaultBuilder {
                         self.backends.len()
                     )));
                 }
-                Some(ec)
+                (Layout::Erasure(ec), ec.total())
             }
         };
         Ok(Vault {
             backends: self.backends,
             redundancy,
             placement: self.placement,
-            erasure,
+            layout,
+            width,
             policy: self.policy,
             verifiers: self.verifiers,
             heal_on_get: self.heal_on_get,
@@ -305,38 +306,83 @@ impl VaultBuilder {
     }
 }
 
-/// How one backend's copy of an object fared during a replica scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CopyState {
-    Healthy(Bytes),
+/// What a slot holds — the one piece of vault state that differs
+/// between redundancy modes.
+enum Layout {
+    /// Every slot holds the unchanged `DPVO` envelope: a `k = 1` stripe.
+    Replicas,
+    /// Slot `i` holds `DPVS` shard `i` of the envelope.
+    Erasure(Erasure),
+}
+
+/// A write generation: `(object length, object digest)`. A replica slot
+/// reports its envelope's length and the digest the envelope header
+/// already stores; a shard slot the `object_len`/`object_digest` its
+/// `DPVS` header records for the envelope it was cut from.
+type Generation = (usize, u64);
+
+/// How one slot of a key's stripe fared during a read or scan.
+enum SlotState {
+    /// The slot decodes and checks out. `bytes` is the whole envelope
+    /// (replica) or the shard payload (erasure).
+    Healthy { generation: Generation, bytes: Bytes },
     Corrupt(String),
     Missing,
 }
 
-/// How one stripe slot fared during an erasure scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ShardState {
-    Healthy { header: ShardHeader, payload: Bytes },
-    Corrupt(String),
-    Missing,
-}
-
-/// Pick the stripe's winning generation: the `(object_len,
-/// object_digest)` pair backed by the most healthy shards,
-/// deterministically tie-broken. Returns `(len, digest, count)`.
-fn stripe_winner(states: &[ShardState]) -> Option<(u32, u64, usize)> {
-    let mut counts: BTreeMap<(u32, u64), usize> = BTreeMap::new();
-    for s in states {
-        if let ShardState::Healthy { header, .. } = s {
-            *counts
-                .entry((header.object_len, header.object_digest))
-                .or_default() += 1;
+impl SlotState {
+    /// Present but not part of the `winner` generation: corrupt, or a
+    /// valid slot stranded in an outvoted generation.
+    fn is_damaged(&self, winner: Option<Generation>) -> bool {
+        match self {
+            SlotState::Healthy { generation, .. } => Some(*generation) != winner,
+            SlotState::Corrupt(_) => true,
+            SlotState::Missing => false,
         }
     }
-    counts
-        .into_iter()
-        .max_by_key(|&((len, digest), n)| (n, len, digest))
-        .map(|((len, digest), n)| (len, digest, n))
+
+    /// The slot's bytes when it is a healthy member of `winner`.
+    fn winning_bytes(&self, winner: Option<Generation>) -> Option<&Bytes> {
+        match self {
+            SlotState::Healthy { generation, bytes } if Some(*generation) == winner => Some(bytes),
+            _ => None,
+        }
+    }
+}
+
+/// Pick the stripe's winning generation: the one backed by the most
+/// healthy slots, ties broken toward the larger `(length, digest)` so
+/// every reader and every scrub picks the same one. Returns the
+/// generation and its healthy slot count.
+fn vote(states: &[SlotState]) -> Option<(Generation, usize)> {
+    let mut counts: BTreeMap<Generation, usize> = BTreeMap::new();
+    for s in states {
+        if let SlotState::Healthy { generation, .. } = s {
+            *counts.entry(*generation).or_default() += 1;
+        }
+    }
+    counts.into_iter().max_by_key(|&(generation, n)| (n, generation))
+}
+
+/// A key's winning generation, recovered and verified end to end.
+struct Recovered {
+    kind: ObjectKind,
+    payload: Bytes,
+    /// The whole `DPVO` envelope, the source every repair re-encodes.
+    envelope: Bytes,
+    /// Recovery decoded the envelope from shards, so every repair from
+    /// it is a rebuild rather than a copy.
+    rebuilt: bool,
+}
+
+/// Why a key's winning generation could not be recovered.
+struct Loss {
+    /// What [`Vault::get`] reports.
+    error: VaultError,
+    /// The stripe detail a scrub records and counts as unrecoverable.
+    /// `None` when no replica copy survives: scrub reports the key lost
+    /// and nothing more.
+    unrecoverable: Option<String>,
 }
 
 /// The outcome of a [`scrub`](Vault::scrub) or [`verify`](Vault::verify)
@@ -435,8 +481,9 @@ pub struct Vault {
     backends: Vec<Arc<dyn StorageBackend>>,
     redundancy: Redundancy,
     placement: PlacementPolicy,
-    /// Precomputed geometry, `Some` iff `redundancy` is `Erasure`.
-    erasure: Option<Erasure>,
+    layout: Layout,
+    /// Slots per stripe: `n` replicas, or `k + m` shards.
+    width: usize,
     policy: RetryPolicy,
     verifiers: BTreeMap<ObjectKind, Arc<dyn Verifier>>,
     heal_on_get: bool,
@@ -459,18 +506,18 @@ impl Vault {
         self.redundancy
     }
 
-    /// The shard placement policy.
+    /// The slot placement policy.
     pub fn placement(&self) -> PlacementPolicy {
         self.placement
     }
 
-    /// The backend storing shard `i` of `key`'s stripe (erasure mode).
-    fn slot_backend(&self, key: &str, shard: usize) -> usize {
+    /// The backend storing slot `i` of `key`'s stripe.
+    fn slot_backend(&self, key: &str, slot: usize) -> usize {
         let n = self.backends.len();
         match self.placement {
-            PlacementPolicy::Identity => shard % n,
+            PlacementPolicy::Identity => slot % n,
             PlacementPolicy::KeyRotation => {
-                ((fnv64(key.as_bytes()) % n as u64) as usize + shard) % n
+                ((fnv64(key.as_bytes()) % n as u64) as usize + slot) % n
             }
         }
     }
@@ -504,8 +551,14 @@ impl Vault {
         }
     }
 
-    /// Store `payload` as `kind` under `key`: a full envelope on every
-    /// backend in replica mode, one `DPVS` shard per placed backend in
+    /// Write slot `i` of `key`'s stripe to its backend.
+    fn put_slot(&self, key: &str, i: usize, slot: &Bytes) -> Result<(), StorageError> {
+        let backend = &self.backends[self.slot_backend(key, i)];
+        self.with_retry(|| backend.put(key, slot))
+    }
+
+    /// Store `payload` as `kind` under `key`: one slot per placed
+    /// backend — a full envelope in replica mode, a `DPVS` shard in
     /// erasure mode.
     ///
     /// Backends that fail permanently are skipped (and the first such
@@ -515,22 +568,9 @@ impl Vault {
     pub fn put(&self, key: &str, kind: ObjectKind, payload: &Bytes) -> Result<(), VaultError> {
         let envelope = encode_envelope(kind, payload);
         let mut first_err = None;
-        match self.erasure {
-            None => {
-                for backend in &self.backends {
-                    if let Err(e) = self.with_retry(|| backend.put(key, &envelope)) {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
-            Some(_) => {
-                let shards = self.shard_envelopes(&envelope);
-                for (i, shard) in shards.iter().enumerate() {
-                    let backend = &self.backends[self.slot_backend(key, i)];
-                    if let Err(e) = self.with_retry(|| backend.put(key, shard)) {
-                        first_err.get_or_insert(e);
-                    }
-                }
+        for (i, slot) in self.encode_slots(&envelope).iter().enumerate() {
+            if let Err(e) = self.put_slot(key, i, slot) {
+                first_err.get_or_insert(e);
             }
         }
         match first_err {
@@ -572,221 +612,212 @@ impl Vault {
         }
     }
 
-    /// Erasure-encode one `DPVO` envelope into its `k + m` `DPVS` shard
-    /// envelopes. Deterministic: re-encoding the same envelope yields
-    /// byte-identical shards, which is what makes shard-level repair
-    /// byte-identical too.
-    fn shard_envelopes(&self, envelope: &Bytes) -> Vec<Bytes> {
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        let object_digest = fnv64(envelope);
-        ec.encode(envelope)
-            .into_iter()
-            .enumerate()
-            .map(|(i, payload)| {
-                encode_shard(
-                    &ShardHeader {
-                        index: i as u8,
-                        k: ec.k() as u8,
-                        m: ec.m() as u8,
-                        object_len: envelope.len() as u32,
-                        object_digest,
-                    },
-                    &payload,
-                )
-            })
-            .collect()
-    }
-
-    /// Classify one backend's copy of `key`: decode the envelope, then
-    /// deep-verify if a verifier is registered for the kind.
-    fn classify(&self, replica: &Arc<dyn StorageBackend>, key: &str) -> CopyState {
-        let raw = match self.with_retry(|| replica.get(key)) {
-            Ok(raw) => raw,
-            Err(StorageError::NotFound(_)) => return CopyState::Missing,
-            Err(e) => return CopyState::Corrupt(format!("unreadable: {e}")),
-        };
-        let (kind, payload) = match decode_envelope(&raw) {
-            Ok(parts) => parts,
-            Err(e) => return CopyState::Corrupt(e.to_string()),
-        };
-        if let Some(verifier) = self.verifiers.get(&kind) {
-            if let Err(reason) = verifier.verify(&payload) {
-                return CopyState::Corrupt(reason);
+    /// Encode one `DPVO` envelope into its stripe's slots, slot `i` at
+    /// index `i`: the envelope itself for every replica, or the `k + m`
+    /// `DPVS` shard envelopes. Deterministic — re-encoding the same
+    /// envelope yields byte-identical slots, which is what makes every
+    /// repair byte-identical too.
+    fn encode_slots(&self, envelope: &Bytes) -> Vec<Bytes> {
+        match &self.layout {
+            Layout::Replicas => vec![envelope.clone(); self.width],
+            Layout::Erasure(ec) => {
+                let object_digest = fnv64(envelope);
+                ec.encode(envelope)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, payload)| {
+                        encode_shard(
+                            &ShardHeader {
+                                index: i as u8,
+                                k: ec.k() as u8,
+                                m: ec.m() as u8,
+                                object_len: envelope.len() as u32,
+                                object_digest,
+                            },
+                            &payload,
+                        )
+                    })
+                    .collect()
             }
         }
-        CopyState::Healthy(raw)
     }
 
-    /// Classify stripe slot `i` of `key`: decode the `DPVS` envelope
-    /// and cross-check its geometry against the vault's and its index
-    /// against the slot it was read from — which is what catches
-    /// geometry tampering even when the shard digest was recomputed.
-    fn classify_shard(&self, key: &str, i: usize) -> ShardState {
+    /// Read and classify slot `i` of `key`. A replica slot must decode
+    /// as a `DPVO` envelope and pass its kind's deep verifier; its
+    /// generation comes from the header, so no second hash pass runs. A
+    /// shard slot must decode as a `DPVS` envelope whose geometry
+    /// matches the vault's and whose index matches the slot it was read
+    /// from — which is what catches geometry tampering even when the
+    /// shard digest was recomputed.
+    fn classify_slot(&self, key: &str, i: usize) -> SlotState {
         let backend = &self.backends[self.slot_backend(key, i)];
         let raw = match self.with_retry(|| backend.get(key)) {
             Ok(raw) => raw,
-            Err(StorageError::NotFound(_)) => return ShardState::Missing,
-            Err(e) => return ShardState::Corrupt(format!("unreadable: {e}")),
+            Err(StorageError::NotFound(_)) => return SlotState::Missing,
+            Err(e) => return SlotState::Corrupt(format!("unreadable: {e}")),
         };
-        let (header, payload) = match decode_shard(&raw) {
-            Ok(parts) => parts,
-            Err(e) => return ShardState::Corrupt(e.to_string()),
-        };
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        if header.k as usize != ec.k() || header.m as usize != ec.m() || header.index as usize != i
-        {
-            return ShardState::Corrupt(format!(
-                "shard geometry mismatch: header claims shard {} of {}+{}, slot expects {} of {}+{}",
-                header.index,
-                header.k,
-                header.m,
-                i,
-                ec.k(),
-                ec.m()
-            ));
+        match &self.layout {
+            Layout::Replicas => {
+                let (kind, payload) = match decode_envelope(&raw) {
+                    Ok(parts) => parts,
+                    Err(e) => return SlotState::Corrupt(e.to_string()),
+                };
+                if let Err(reason) = self.deep_verify(kind, &payload) {
+                    return SlotState::Corrupt(reason);
+                }
+                let (_, digest, _) = split_decoded_envelope(&raw);
+                SlotState::Healthy {
+                    generation: (raw.len(), digest),
+                    bytes: raw,
+                }
+            }
+            Layout::Erasure(ec) => {
+                let (header, payload) = match decode_shard(&raw) {
+                    Ok(parts) => parts,
+                    Err(e) => return SlotState::Corrupt(e.to_string()),
+                };
+                if header.k as usize != ec.k()
+                    || header.m as usize != ec.m()
+                    || header.index as usize != i
+                {
+                    return SlotState::Corrupt(format!(
+                        "shard geometry mismatch: header claims shard {} of {}+{}, slot expects {} of {}+{}",
+                        header.index,
+                        header.k,
+                        header.m,
+                        i,
+                        ec.k(),
+                        ec.m()
+                    ));
+                }
+                SlotState::Healthy {
+                    generation: (header.object_len as usize, header.object_digest),
+                    bytes: payload,
+                }
+            }
         }
-        ShardState::Healthy { header, payload }
     }
 
-    /// Reconstruct the winning generation's `DPVO` envelope from its
-    /// healthy shards, then verify it end to end (object digest,
+    /// Recover the `winner` generation's object from its healthy slots.
+    /// A replica stripe returns a winning copy as is — classification
+    /// already verified it. An erasure stripe needs `k` winning shards,
+    /// decodes them, and verifies the result end to end (object digest,
     /// envelope decode, deep verifier) before anyone trusts the bytes.
     fn reconstruct(
         &self,
-        states: &[ShardState],
-        object_len: u32,
-        object_digest: u64,
-    ) -> Result<Bytes, String> {
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        let slots: Vec<Option<&[u8]>> = states
-            .iter()
-            .map(|s| match s {
-                ShardState::Healthy { header, payload }
-                    if header.object_len == object_len
-                        && header.object_digest == object_digest =>
-                {
-                    Some(payload.as_ref())
-                }
-                _ => None,
-            })
-            .collect();
-        let data = ec
-            .decode(&slots, object_len as usize)
-            .map_err(|e| e.to_string())?;
-        let envelope = Bytes::from(data);
-        if fnv64(&envelope) != object_digest {
-            return Err("reconstructed object digest mismatch".to_string());
-        }
-        let (kind, payload) =
-            decode_envelope(&envelope).map_err(|e| format!("reconstructed object: {e}"))?;
-        if let Some(verifier) = self.verifiers.get(&kind) {
-            verifier
-                .verify(&payload)
-                .map_err(|reason| format!("deep verification: {reason}"))?;
-        }
-        Ok(envelope)
-    }
-
-    /// Checksum-verified read. Replica mode returns the first healthy
-    /// copy, falling back past damaged backends; erasure mode
-    /// reconstructs from any `k` healthy shards of the winning
-    /// generation. With [`heal_on_get`](VaultBuilder::heal_on_get),
-    /// damaged copies/shards the read skipped are rewritten
-    /// (best-effort).
-    pub fn get(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
-        match self.erasure {
-            None => self.get_replicated(key),
-            Some(_) => self.get_erasure(key),
-        }
-    }
-
-    fn get_replicated(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
-        let mut damaged: Vec<usize> = Vec::new();
-        let mut last_reason: Option<String> = None;
-        let mut any_copy = false;
-        for (i, replica) in self.backends.iter().enumerate() {
-            match self.classify(replica, key) {
-                CopyState::Healthy(raw) => {
-                    if self.heal_on_get {
-                        for &d in &damaged {
-                            let _ = self.with_retry(|| self.backends[d].put(key, &raw));
-                        }
-                    }
-                    let (kind, payload) =
-                        decode_envelope(&raw).expect("classified healthy, must decode");
-                    return Ok((kind, payload));
-                }
-                CopyState::Corrupt(reason) => {
-                    any_copy = true;
-                    damaged.push(i);
-                    last_reason = Some(reason);
-                }
-                CopyState::Missing => {}
-            }
-        }
-        if any_copy {
-            Err(VaultError::Damaged {
-                key: key.to_string(),
-                reason: last_reason.unwrap_or_default(),
-            })
-        } else {
-            Err(VaultError::NotFound(key.to_string()))
-        }
-    }
-
-    fn get_erasure(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        let states: Vec<ShardState> = (0..ec.total())
-            .map(|i| self.classify_shard(key, i))
-            .collect();
-        let present = states
-            .iter()
-            .filter(|s| !matches!(s, ShardState::Missing))
-            .count();
-        let Some((object_len, object_digest, have)) = stripe_winner(&states) else {
-            return if present == 0 {
-                Err(VaultError::NotFound(key.to_string()))
-            } else {
-                Err(VaultError::Unrecoverable {
-                    key: key.to_string(),
-                    have: 0,
-                    need: ec.k(),
-                })
-            };
-        };
-        if have < ec.k() {
-            return Err(VaultError::Unrecoverable {
-                key: key.to_string(),
-                have,
-                need: ec.k(),
-            });
-        }
-        let envelope = self
-            .reconstruct(&states, object_len, object_digest)
-            .map_err(|reason| VaultError::Damaged {
-                key: key.to_string(),
-                reason,
-            })?;
-        if self.heal_on_get {
-            // Rewrite corrupt (or outvoted) slots the read fell past —
-            // like replica heal-on-get, absent shards wait for scrub.
-            let shards = self.shard_envelopes(&envelope);
-            for (i, state) in states.iter().enumerate() {
-                let heal = match state {
-                    ShardState::Healthy { header, .. } => {
-                        header.object_len != object_len || header.object_digest != object_digest
-                    }
-                    ShardState::Corrupt(_) => true,
-                    ShardState::Missing => false,
+        key: &str,
+        states: &[SlotState],
+        winner: Option<(Generation, usize)>,
+    ) -> Result<Recovered, Loss> {
+        let generation = winner.map(|(g, _)| g);
+        match &self.layout {
+            Layout::Replicas => {
+                let Some(envelope) = states.iter().find_map(|s| s.winning_bytes(generation)) else {
+                    let reason = states.iter().rev().find_map(|s| match s {
+                        SlotState::Corrupt(reason) => Some(reason.clone()),
+                        _ => None,
+                    });
+                    return Err(Loss {
+                        error: VaultError::Damaged {
+                            key: key.to_string(),
+                            reason: reason.unwrap_or_default(),
+                        },
+                        unrecoverable: None,
+                    });
                 };
-                if heal {
-                    let backend = &self.backends[self.slot_backend(key, i)];
-                    let _ = self.with_retry(|| backend.put(key, &shards[i]));
+                let (kind, _, payload) = split_decoded_envelope(envelope);
+                Ok(Recovered {
+                    kind,
+                    payload,
+                    envelope: envelope.clone(),
+                    rebuilt: false,
+                })
+            }
+            Layout::Erasure(ec) => {
+                let have = winner.map_or(0, |(_, n)| n);
+                let Some((object_len, object_digest)) = generation.filter(|_| have >= ec.k())
+                else {
+                    return Err(Loss {
+                        error: VaultError::Unrecoverable {
+                            key: key.to_string(),
+                            have,
+                            need: ec.k(),
+                        },
+                        unrecoverable: Some(format!(
+                            "unrecoverable ({have}/{} shards survive)",
+                            ec.k()
+                        )),
+                    });
+                };
+                let damaged = |reason: String| Loss {
+                    unrecoverable: Some(format!("reconstructs but is damaged: {reason}")),
+                    error: VaultError::Damaged {
+                        key: key.to_string(),
+                        reason,
+                    },
+                };
+                let slots: Vec<Option<&[u8]>> = states
+                    .iter()
+                    .map(|s| s.winning_bytes(generation).map(|b| b.as_ref()))
+                    .collect();
+                let envelope = Bytes::from(
+                    ec.decode(&slots, object_len)
+                        .map_err(|e| damaged(e.to_string()))?,
+                );
+                if fnv64(&envelope) != object_digest {
+                    return Err(damaged("reconstructed object digest mismatch".to_string()));
+                }
+                let (kind, payload) = decode_envelope(&envelope)
+                    .map_err(|e| damaged(format!("reconstructed object: {e}")))?;
+                self.deep_verify(kind, &payload)
+                    .map_err(|reason| damaged(format!("deep verification: {reason}")))?;
+                Ok(Recovered {
+                    kind,
+                    payload,
+                    envelope,
+                    rebuilt: true,
+                })
+            }
+        }
+    }
+
+    /// Run the deep verifier registered for `kind`, if any.
+    fn deep_verify(&self, kind: ObjectKind, payload: &Bytes) -> Result<(), String> {
+        match self.verifiers.get(&kind) {
+            Some(verifier) => verifier.verify(payload),
+            None => Ok(()),
+        }
+    }
+
+    /// Classify every slot of `key`'s stripe, slot order.
+    fn classify_stripe(&self, key: &str) -> Vec<SlotState> {
+        (0..self.width).map(|i| self.classify_slot(key, i)).collect()
+    }
+
+    /// Checksum-verified read: classify every slot, vote, and recover
+    /// the winning generation — a verified copy in replica mode, a
+    /// reconstruction from any `k` healthy shards in erasure mode. With
+    /// [`heal_on_get`](VaultBuilder::heal_on_get), corrupt and outvoted
+    /// slots are rewritten (best-effort); absent slots wait for scrub.
+    pub fn get(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
+        let states = self.classify_stripe(key);
+        if states.iter().all(|s| matches!(s, SlotState::Missing)) {
+            return Err(VaultError::NotFound(key.to_string()));
+        }
+        let winner = vote(&states);
+        let recovered = self
+            .reconstruct(key, &states, winner)
+            .map_err(|loss| loss.error)?;
+        let generation = winner.map(|(g, _)| g);
+        if self.heal_on_get && states.iter().any(|s| s.is_damaged(generation)) {
+            let slots = self.encode_slots(&recovered.envelope);
+            for (i, state) in states.iter().enumerate() {
+                if state.is_damaged(generation) {
+                    let _ = self.put_slot(key, i, &slots[i]);
                 }
             }
         }
-        let (kind, payload) = decode_envelope(&envelope).expect("reconstruct verified the envelope");
-        Ok((kind, payload))
+        Ok((recovered.kind, recovered.payload))
     }
 
     /// All keys stored on at least one backend, ascending.
@@ -798,10 +829,9 @@ impl Vault {
         Ok(keys.into_iter().collect())
     }
 
-    /// Integrity sweep with self-healing repair: every damaged or
-    /// missing copy is rewritten byte-identically — copied from a
-    /// verified backend in replica mode, rebuilt from surviving shards
-    /// in erasure mode.
+    /// Integrity sweep with self-healing repair: every damaged, missing
+    /// or outvoted slot is rewritten byte-identically — copied from the
+    /// winning replica, or rebuilt from surviving shards.
     pub fn scrub(&self) -> Result<ScrubReport, VaultError> {
         self.scan(true)
     }
@@ -811,136 +841,36 @@ impl Vault {
         self.scan(false)
     }
 
-    /// Classify, count and (optionally) repair one key across the pool
-    /// — the shared per-object body of [`scan`](Vault::scan) and the
-    /// single-object entry points. `stripe` is the scan-order index
-    /// used in detail lines.
-    fn scan_key(
+    /// Count one key's classified slots into `report` against the
+    /// winning generation and (optionally) rewrite every other slot
+    /// from the recovered object. An object that cannot be recovered is
+    /// reported lost — loudly as unrecoverable when a stripe detail
+    /// explains why — and nothing is ever fabricated. `stripe` is the
+    /// scan-order index used in detail lines.
+    fn judge(
         &self,
         stripe: usize,
         key: &str,
+        states: &[SlotState],
         repair: bool,
         report: &mut ScrubReport,
         span: &daspos_obs::Span,
     ) {
-        match self.erasure {
-            None => {
-                let states: Vec<CopyState> = self
-                    .backends
-                    .iter()
-                    .map(|r| self.classify(r, key))
-                    .collect();
-                self.judge_and_repair(key, &states, repair, report, span);
-            }
-            Some(ref ec) => {
-                let states: Vec<ShardState> = (0..ec.total())
-                    .map(|i| self.classify_shard(key, i))
-                    .collect();
-                self.judge_stripe(stripe, key, &states, repair, report, span);
-            }
-        }
-    }
-
-    /// Count one key's classified copies into `report` and (optionally)
-    /// rewrite every non-healthy copy from a verified one — the replica
-    /// tail of [`scan_key`](Vault::scan_key), split out so
-    /// interruptible callers can classify backends at their own pace.
-    fn judge_and_repair(
-        &self,
-        key: &str,
-        states: &[CopyState],
-        repair: bool,
-        report: &mut ScrubReport,
-        span: &daspos_obs::Span,
-    ) {
-        let healthy = states.iter().find_map(|s| match s {
-            CopyState::Healthy(raw) => Some(raw.clone()),
-            _ => None,
-        });
-        let mut corrupt_here = 0u64;
-        let mut missing_here = 0u64;
-        for state in states {
-            match state {
-                CopyState::Healthy(_) => report.checked += 1,
-                CopyState::Corrupt(_) => {
-                    report.checked += 1;
-                    corrupt_here += 1;
-                }
-                CopyState::Missing => missing_here += 1,
-            }
-        }
-        report.corrupt += corrupt_here;
-        report.missing += missing_here;
-
-        let mut repaired_here = 0u64;
-        match &healthy {
-            Some(raw) if repair => {
-                for (i, state) in states.iter().enumerate() {
-                    if !matches!(state, CopyState::Healthy(_))
-                        && self.with_retry(|| self.backends[i].put(key, raw)).is_ok()
-                    {
-                        repaired_here += 1;
-                    }
-                }
-                report.repaired += repaired_here;
-            }
-            Some(_) => {}
-            None => report.lost.push(key.to_string()),
-        }
-
-        if span.enabled() {
-            let mut child = span.child_fmt(format_args!("object-{key}"));
-            child.field("corrupt", corrupt_here);
-            child.field("missing", missing_here);
-            child.field("repaired", repaired_here);
-            child.finish();
-        }
-    }
-
-    /// The erasure tail of [`scan_key`](Vault::scan_key): pick the
-    /// stripe's winning generation, count every slot against it, and
-    /// (optionally) rebuild every non-winner slot from a reconstructed
-    /// — and re-verified — object. Fewer than `k` survivors is reported
-    /// loudly as unrecoverable; nothing is ever fabricated.
-    fn judge_stripe(
-        &self,
-        stripe: usize,
-        key: &str,
-        states: &[ShardState],
-        repair: bool,
-        report: &mut ScrubReport,
-        span: &daspos_obs::Span,
-    ) {
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        let k = ec.k();
-        let total = ec.total();
-        let winner = stripe_winner(states);
+        let winner = vote(states);
+        let generation = winner.map(|(g, _)| g);
         let mut corrupt_here = 0u64;
         let mut missing_here = 0u64;
         let mut bad_slots: Vec<usize> = Vec::new();
         for (i, state) in states.iter().enumerate() {
-            match state {
-                ShardState::Healthy { header, .. } => {
-                    report.checked += 1;
-                    let in_winner = winner
-                        .map(|(len, digest, _)| {
-                            header.object_len == len && header.object_digest == digest
-                        })
-                        .unwrap_or(false);
-                    if !in_winner {
-                        corrupt_here += 1;
-                        bad_slots.push(i);
-                    }
-                }
-                ShardState::Corrupt(_) => {
-                    report.checked += 1;
-                    corrupt_here += 1;
-                    bad_slots.push(i);
-                }
-                ShardState::Missing => {
-                    missing_here += 1;
-                    bad_slots.push(i);
-                }
+            if matches!(state, SlotState::Missing) {
+                missing_here += 1;
+                bad_slots.push(i);
+                continue;
+            }
+            report.checked += 1;
+            if state.is_damaged(generation) {
+                corrupt_here += 1;
+                bad_slots.push(i);
             }
         }
         report.corrupt += corrupt_here;
@@ -948,42 +878,35 @@ impl Vault {
 
         let mut repaired_here = 0u64;
         let mut rebuilt_here = 0u64;
-        let have = winner.map(|(_, _, n)| n).unwrap_or(0);
-        let recovered = if have < k {
-            report.unrecoverable += 1;
-            report.lost.push(key.to_string());
-            report.details.push(format!(
-                "stripe {stripe}: '{key}' unrecoverable ({have}/{k} shards survive)"
-            ));
-            false
-        } else {
-            let (object_len, object_digest, _) = winner.expect("have >= k implies a winner");
-            match self.reconstruct(states, object_len, object_digest) {
-                Ok(envelope) => {
-                    if repair && !bad_slots.is_empty() {
-                        let shards = self.shard_envelopes(&envelope);
-                        for &i in &bad_slots {
-                            let backend = &self.backends[self.slot_backend(key, i)];
-                            if self.with_retry(|| backend.put(key, &shards[i])).is_ok() {
-                                repaired_here += 1;
+        let recovered = match self.reconstruct(key, states, winner) {
+            Ok(recovered) => {
+                if repair && !bad_slots.is_empty() {
+                    let slots = self.encode_slots(&recovered.envelope);
+                    for &i in &bad_slots {
+                        if self.put_slot(key, i, &slots[i]).is_ok() {
+                            repaired_here += 1;
+                            if recovered.rebuilt {
                                 rebuilt_here += 1;
                                 report.details.push(format!(
-                                    "stripe {stripe}: rebuilt shard {i}/{total} on backend {}",
-                                    backend.name()
+                                    "stripe {stripe}: rebuilt shard {i}/{} on backend {}",
+                                    self.width,
+                                    self.backends[self.slot_backend(key, i)].name()
                                 ));
                             }
                         }
                     }
-                    true
                 }
-                Err(reason) => {
+                true
+            }
+            Err(loss) => {
+                report.lost.push(key.to_string());
+                if let Some(detail) = loss.unrecoverable {
                     report.unrecoverable += 1;
-                    report.lost.push(key.to_string());
-                    report.details.push(format!(
-                        "stripe {stripe}: '{key}' reconstructs but is damaged: {reason}"
-                    ));
-                    false
+                    report
+                        .details
+                        .push(format!("stripe {stripe}: '{key}' {detail}"));
                 }
+                false
             }
         };
         report.repaired += repaired_here;
@@ -1025,7 +948,8 @@ impl Vault {
             ..ScrubReport::default()
         };
         for (stripe, key) in keys.iter().enumerate() {
-            self.scan_key(stripe, key, repair, &mut report, &span);
+            let states = self.classify_stripe(key);
+            self.judge(stripe, key, &states, repair, &mut report, &span);
         }
         self.record_scrub_counters(&report);
         span.field("corrupt", report.corrupt);
@@ -1041,95 +965,63 @@ impl Vault {
     /// sweep. Reports [`VaultError::NotFound`] when no backend stores
     /// the key at all.
     pub fn scrub_object(&self, key: &str) -> Result<ScrubReport, VaultError> {
-        self.scan_one(key, true)
+        self.scan_one(key, true, &|| true)
+            .map(|report| report.expect("never abandoned"))
     }
 
     /// Integrity-check a single object without repairing anything.
     pub fn verify_object(&self, key: &str) -> Result<ScrubReport, VaultError> {
-        self.scan_one(key, false)
+        self.scan_one(key, false, &|| true)
+            .map(|report| report.expect("never abandoned"))
     }
 
     /// Like [`scrub_object`](Vault::scrub_object), but cooperatively
-    /// abandonable: `keep_going` is consulted before every per-backend
-    /// classification (each one deep-verifies a full copy or shard) and
-    /// once more before any repair writes start. When it turns false the
-    /// scrub returns `Ok(None)` having mutated nothing — the caller
-    /// retries the whole object on a later tick. This bounds how long a
-    /// background scrubber can monopolize the store to one
+    /// abandonable: `keep_going` is consulted before every slot
+    /// classification (each one reads, and may deep-verify, a full copy
+    /// or shard) and once more before any repair writes start. When it
+    /// turns false the scrub returns `Ok(None)` having mutated nothing —
+    /// the caller retries the whole object on a later tick. This bounds
+    /// how long a background scrubber can monopolize the store to one
     /// classification instead of a full sweep.
     pub fn scrub_object_while(
         &self,
         key: &str,
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<ScrubReport>, VaultError> {
-        let mut span = self.obs.tracer.span("scrub-object");
-        span.field("replicas", self.backends.len());
-        let mut report = ScrubReport {
-            objects: 1,
-            replicas: self.backends.len(),
-            ..ScrubReport::default()
-        };
-        match self.erasure {
-            None => {
-                let mut states = Vec::with_capacity(self.backends.len());
-                for replica in &self.backends {
-                    if !keep_going() {
-                        span.field("abandoned", 1usize);
-                        span.finish();
-                        return Ok(None);
-                    }
-                    states.push(self.classify(replica, key));
-                }
-                if !keep_going() {
-                    // Classified but not yet judged: repairs rewrite full
-                    // copies, so give way before starting them too.
-                    span.field("abandoned", 1usize);
-                    span.finish();
-                    return Ok(None);
-                }
-                self.judge_and_repair(key, &states, true, &mut report, &span);
-            }
-            Some(ref ec) => {
-                let mut states = Vec::with_capacity(ec.total());
-                for i in 0..ec.total() {
-                    if !keep_going() {
-                        span.field("abandoned", 1usize);
-                        span.finish();
-                        return Ok(None);
-                    }
-                    states.push(self.classify_shard(key, i));
-                }
-                if !keep_going() {
-                    span.field("abandoned", 1usize);
-                    span.finish();
-                    return Ok(None);
-                }
-                self.judge_stripe(0, key, &states, true, &mut report, &span);
-            }
-        }
-        if report.checked == 0 {
-            return Err(VaultError::NotFound(key.to_string()));
-        }
-        self.record_scrub_counters(&report);
-        span.field("corrupt", report.corrupt);
-        span.field("repaired", report.repaired);
-        span.finish();
-        Ok(Some(report))
+        self.scan_one(key, true, keep_going)
     }
 
-    fn scan_one(&self, key: &str, repair: bool) -> Result<ScrubReport, VaultError> {
+    fn scan_one(
+        &self,
+        key: &str,
+        repair: bool,
+        keep_going: &dyn Fn() -> bool,
+    ) -> Result<Option<ScrubReport>, VaultError> {
         let mut span = self.obs.tracer.span(if repair {
             "scrub-object"
         } else {
             "verify-object"
         });
         span.field("replicas", self.backends.len());
+        // One check before every slot, and one more between the last
+        // classification and the repairs it would start.
+        let mut states = Vec::with_capacity(self.width);
+        for i in 0..=self.width {
+            if !keep_going() {
+                span.field("abandoned", 1usize);
+                span.finish();
+                return Ok(None);
+            }
+            if i < self.width {
+                states.push(self.classify_slot(key, i));
+            }
+        }
         let mut report = ScrubReport {
             objects: 1,
             replicas: self.backends.len(),
             ..ScrubReport::default()
         };
-        self.scan_key(0, key, repair, &mut report, &span);
+        self.judge(0, key, &states, repair, &mut report, &span);
         if report.checked == 0 {
             // Every backend reported the key absent: not damage, absence.
             return Err(VaultError::NotFound(key.to_string()));
@@ -1138,7 +1030,7 @@ impl Vault {
         span.field("corrupt", report.corrupt);
         span.field("repaired", report.repaired);
         span.finish();
-        Ok(report)
+        Ok(Some(report))
     }
 }
 
@@ -1223,45 +1115,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn replica_shim_desugars_to_backends_plus_replicas_byte_identically() {
-        // The deprecated additive builder and the redesigned one must
-        // produce vaults whose stored bytes are identical.
-        let (dyns_a, mems_a) = pool(3);
-        let mut builder = Vault::builder().policy(RetryPolicy::none());
-        for b in dyns_a {
-            builder = builder.replica(b);
-        }
-        let old_style = builder.build().unwrap();
-        assert_eq!(old_style.redundancy(), Redundancy::Replicas(3));
-
-        let (dyns_b, mems_b) = pool(3);
-        let new_style = Vault::builder()
-            .policy(RetryPolicy::none())
-            .backends(dyns_b)
-            .redundancy(Redundancy::Replicas(3))
-            .build()
-            .unwrap();
-
-        let payload = Bytes::from_static(b"same bytes either way");
-        old_style.put("obj", ObjectKind::Opaque, &payload).unwrap();
-        new_style.put("obj", ObjectKind::Opaque, &payload).unwrap();
-        for (a, b) in mems_a.iter().zip(&mems_b) {
-            assert_eq!(a.get("obj").unwrap(), b.get("obj").unwrap());
-        }
-        assert_eq!(
-            old_style.get("obj").unwrap(),
-            new_style.get("obj").unwrap()
-        );
-    }
-
-    #[test]
     fn put_replicates_and_get_round_trips() {
         let (vault, backends) = three_replica_vault();
         let payload = Bytes::from_static(b"artifact bytes");
         vault.put("obj", ObjectKind::Opaque, &payload).unwrap();
+        let envelope = encode_envelope(ObjectKind::Opaque, &payload);
         for b in &backends {
             assert_eq!(b.len(), 1, "every replica holds a copy");
+            assert_eq!(b.get("obj").unwrap(), envelope, "a copy is the bare envelope");
         }
         let (kind, got) = vault.get("obj").unwrap();
         assert_eq!(kind, ObjectKind::Opaque);
@@ -1288,6 +1149,33 @@ mod tests {
             pristine,
             "heal-on-get rewrote replica 0 byte-identically"
         );
+    }
+
+    #[test]
+    fn a_stale_but_valid_replica_is_outvoted_on_get_and_rewritten_by_scrub() {
+        let (vault, backends) = three_replica_vault();
+        let old = Bytes::from_static(b"generation one");
+        let new = Bytes::from_static(b"generation two");
+        vault.put("obj", ObjectKind::Opaque, &old).unwrap();
+        let stale = backends[0].get("obj").unwrap();
+        vault.put("obj", ObjectKind::Opaque, &new).unwrap();
+        let fresh = backends[1].get("obj").unwrap();
+        // The stale envelope is honestly digested: only the vote can
+        // tell it from the current generation.
+        backends[0].put("obj", &stale).unwrap();
+
+        let (_, got) = vault.get("obj").unwrap();
+        assert_eq!(got, new, "two fresh copies outvote one stale copy");
+        assert_eq!(backends[0].get("obj").unwrap(), fresh, "heal-on-get rewrote it");
+
+        backends[0].put("obj", &stale).unwrap();
+        let report = vault.scrub().unwrap();
+        assert_eq!((report.checked, report.corrupt, report.repaired), (3, 1, 1));
+        assert_eq!(report.rebuilt, 0, "replica repair copies, never rebuilds");
+        assert!(report.clean(), "{}", report.to_text());
+        for b in &backends {
+            assert_eq!(b.get("obj").unwrap(), fresh, "all three copies agree");
+        }
     }
 
     #[test]

@@ -151,9 +151,9 @@ USAGE:
         (opaque, sealed-tier, container, conditions, columnar-aod) is
         sniffed from the payload unless given
   daspos vault    get <key> --store <dir> --out <file>
-        checksum-verified read: replicated stores return the first copy
-        that passes integrity checks, erasure stores reconstruct from any
-        k verified shards — healing damaged copies in passing
+        checksum-verified read: replicated stores return the verified copy
+        of the generation most copies agree on, erasure stores reconstruct
+        from any k verified shards — healing damaged copies in passing
   daspos vault    scrub --store <dir> [--threads N]
         walk every object, verify envelope and shard digests, DPSL seals
         and container manifests, and repair damaged copies (rebuilding

@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use bytes::Bytes;
 use daspos::archive::sections;
@@ -182,5 +183,39 @@ fn golden_artifacts_still_decode_and_validate() {
         let data = std::fs::read(dir.join(name)).unwrap();
         assert_eq!(data.len(), len, "stored length drifted for {name}");
         assert_eq!(fnv64(&data), digest, "stored digest drifted for {name}");
+    }
+}
+
+#[test]
+fn produced_archive_is_identical_at_every_thread_count() {
+    // The provenance step records the sequential execution every thread
+    // count reproduces, so `produce` writes the same container bytes at
+    // --threads 1, at 4 and at the host's default worker count. 96
+    // events span two work chunks, so the pooled runs really do split.
+    let dir = std::env::temp_dir().join(format!("daspos-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let mut archives = Vec::new();
+    for threads in [Some("1"), Some("4"), None] {
+        let out = dir.join(format!("cms-z-{}.dpar", threads.unwrap_or("default")));
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_daspos-cli"));
+        cmd.args(["produce", "--experiment", "cms", "--events", "96", "--seed"])
+            .arg(GOLDEN_SEED.to_string())
+            .arg("--out")
+            .arg(&out);
+        if let Some(t) = threads {
+            cmd.args(["--threads", t]);
+        }
+        let run = cmd.output().expect("cli spawns");
+        assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+        archives.push((threads, std::fs::read(&out).expect("archive written")));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_, reference) = &archives[0];
+    for (threads, bytes) in &archives[1..] {
+        assert!(
+            bytes == reference,
+            "--threads {} wrote different .dpar bytes than --threads 1",
+            threads.unwrap_or("<default>")
+        );
     }
 }
