@@ -31,7 +31,7 @@ pub mod units;
 
 pub use error::HepError;
 pub use event::{EventHeader, EventId, LumiBlockId, ProcessKind, RunId, TruthEvent};
-pub use fnv::{fnv64, fnv64_fold, FNV_BASIS};
+pub use fnv::{fnv64, fnv64_fold, fnv64_fold_many, FNV_BASIS};
 pub use fourvec::FourVector;
 pub use hist::{Hist1D, Hist2D};
 pub use particle::{Charge, ParticleStatus, PdgId, TruthParticle};

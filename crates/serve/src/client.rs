@@ -7,7 +7,10 @@
 //! Objects larger than one frame travel through [`ServeClient::put_stream`]
 //! / [`ServeClient::get_stream`]: the client holds one chunk at a time
 //! and folds the whole-object fnv64 digest incrementally, so a 64 MiB
-//! round trip peaks at O(chunk) memory on this side too.
+//! round trip peaks at O(chunk) memory on this side too. The fold rides
+//! in the same two-lane digest pass that seals each outgoing chunk frame
+//! or checks the seal of each incoming one, so a chunk's bytes are
+//! hashed once on this side, not twice.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,11 +20,11 @@ use bytes::Bytes;
 use daspos_vault::ObjectKind;
 
 use crate::proto::{
-    decode_response, encode_request, validate_tenant, Op, Request, Response, Status,
-    MAX_CHUNK_BYTES,
+    decode_response_folding, encode_request, encode_request_folding, validate_tenant, Op, Request,
+    Response, Status, MAX_CHUNK_BYTES,
 };
 use crate::server::ServeError;
-use crate::stream::{self, fnv64_fold, FNV_BASIS};
+use crate::stream::{self, FNV_BASIS};
 use crate::wire::{self, ReadFrame};
 
 /// Default per-response wait before a client declares the server hung.
@@ -139,30 +142,64 @@ impl ServeClient {
     /// caller decides whether `NotFound` or `Overloaded` is exceptional).
     /// This is the raw primitive — it never retries.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
-        wire::write_frame(&mut self.stream, &encode_request(req))?;
-        match wire::read_frame(&mut self.stream)? {
-            ReadFrame::Sealed(sealed) => Ok(decode_response(&sealed)?),
-            ReadFrame::Eof => Err(ServeError::Io(
-                "server closed the connection before responding".to_string(),
-            )),
-            ReadFrame::Idle => Err(ServeError::Io(
-                "timed out waiting for a response".to_string(),
-            )),
-        }
+        self.exchange(&encode_request(req), 1, usize::MAX, FNV_BASIS)
+            .map(|(resp, _)| resp)
     }
 
     /// [`request`](ServeClient::request) plus the session's
     /// [`RetryPolicy`] on `Overloaded` responses.
     fn request_retrying(&mut self, req: &Request) -> Result<Response, ServeError> {
+        self.exchange_retrying(&encode_request(req), usize::MAX, FNV_BASIS)
+            .map(|(resp, _)| resp)
+    }
+
+    /// [`exchange`](ServeClient::exchange) under the session's
+    /// [`RetryPolicy`].
+    fn exchange_retrying(
+        &mut self,
+        frame: &Bytes,
+        skip: usize,
+        fold: u64,
+    ) -> Result<(Response, u64), ServeError> {
+        self.exchange(frame, self.retry.attempts.max(1), skip, fold)
+    }
+
+    /// Send one encoded request frame and wait for its response, up to
+    /// `attempts` tries while the server answers `Overloaded`. The
+    /// response payload past its first `skip` bytes is folded into
+    /// `fold` in the pass that checks the response seal (see
+    /// [`decode_response_folding`]); returns the response and the
+    /// advanced fold.
+    fn exchange(
+        &mut self,
+        frame: &Bytes,
+        attempts: u32,
+        skip: usize,
+        fold: u64,
+    ) -> Result<(Response, u64), ServeError> {
         let mut attempt = 1;
         loop {
-            let resp = self.request(req)?;
-            if resp.status == Status::Overloaded && attempt < self.retry.attempts.max(1) {
+            wire::write_frame(&mut self.stream, frame)?;
+            let sealed = match wire::read_frame(&mut self.stream)? {
+                ReadFrame::Sealed(sealed) => sealed,
+                ReadFrame::Eof => {
+                    return Err(ServeError::Io(
+                        "server closed the connection before responding".to_string(),
+                    ))
+                }
+                ReadFrame::Idle => {
+                    return Err(ServeError::Io(
+                        "timed out waiting for a response".to_string(),
+                    ))
+                }
+            };
+            let (resp, folded) = decode_response_folding(&sealed, skip, fold)?;
+            if resp.status == Status::Overloaded && attempt < attempts {
                 attempt += 1;
                 std::thread::sleep(self.retry.backoff);
                 continue;
             }
-            return Ok(resp);
+            return Ok((resp, folded));
         }
     }
 
@@ -215,7 +252,8 @@ impl ServeClient {
     /// Stream everything `reader` yields to the server under `key`,
     /// one chunk frame at a time: `PutBegin`, N× `PutChunk`, then a
     /// `PutCommit` carrying the chunk count, total length and fnv64
-    /// digest folded while reading. Peak memory here is one chunk.
+    /// digest folded while sealing the chunk frames. Peak memory here is
+    /// one chunk.
     ///
     /// A non-OK response mid-stream aborts the stream (best effort) and
     /// is returned as data, like every other status.
@@ -265,18 +303,23 @@ impl ServeClient {
             if n == 0 {
                 break;
             }
-            let resp = self.request_retrying(&Request {
-                op: Op::PutChunk,
-                kind,
-                tenant: self.tenant.clone(),
-                key: id.to_string(),
-                payload: stream::encode_chunk(seq, &buf[..n]),
-            })?;
+            let (frame, folded) = encode_request_folding(
+                &Request {
+                    op: Op::PutChunk,
+                    kind,
+                    tenant: self.tenant.clone(),
+                    key: id.to_string(),
+                    payload: stream::encode_chunk(seq, &buf[..n]),
+                },
+                n,
+                fold,
+            );
+            let (resp, _) = self.exchange_retrying(&frame, usize::MAX, FNV_BASIS)?;
             if resp.status != Status::Ok {
                 self.try_abort(id);
                 return Ok(resp);
             }
-            fold = fnv64_fold(fold, &buf[..n]);
+            fold = folded;
             total_len += n as u64;
             seq += 1;
             if n < buf.len() {
@@ -336,13 +379,17 @@ impl ServeClient {
         let mut fold = FNV_BASIS;
         let mut written = 0u64;
         for seq in 0..info.chunks {
-            let resp = self.request_retrying(&Request {
+            // The chunk payload is the sequence number, then the data:
+            // fold the data while checking the seal, and commit the
+            // fold only once the chunk passed every check.
+            let request = encode_request(&Request {
                 op: Op::GetChunk,
                 kind: ObjectKind::Opaque,
                 tenant: tenant.clone(),
                 key: key.to_string(),
                 payload: stream::encode_get_chunk(seq, info.chunk_size),
-            })?;
+            });
+            let (resp, folded) = self.exchange_retrying(&request, stream::CHUNK_SEQ_BYTES, fold)?;
             if resp.status != Status::Ok {
                 return Ok(resp);
             }
@@ -354,7 +401,7 @@ impl ServeClient {
                     data.len()
                 )));
             }
-            fold = fnv64_fold(fold, &data);
+            fold = folded;
             out.write_all(&data)
                 .map_err(|e| ServeError::Io(format!("stream sink failed: {e}")))?;
             written += data.len() as u64;

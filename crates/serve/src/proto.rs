@@ -29,7 +29,7 @@
 use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use daspos_tiers::codec::{self, CodecError};
+use daspos_tiers::codec::{self, fnv64_fold, fnv64_fold_many, CodecError, FNV_BASIS};
 use daspos_vault::{validate_key, ObjectKind};
 
 /// Magic of a request body: "DASPOS Preservation ReQuest".
@@ -405,59 +405,96 @@ fn take_text(buf: &mut Bytes, declared: usize) -> Result<String, ProtoError> {
     String::from_utf8(raw.to_vec()).map_err(|_| ProtoError::BadText)
 }
 
+/// Bytes in front of a frame body: the u32 length prefix, then the
+/// seal's magic and digest.
+const FRAME_HEAD: usize = 4 + codec::SEAL_OVERHEAD;
+
 /// Serialize and seal a request into one wire frame (length prefix
 /// included).
 pub fn encode_request(req: &Request) -> Bytes {
-    let mut body = BytesMut::with_capacity(
-        16 + req.tenant.len() + req.key.len() + req.payload.len(),
+    encode_request_folding(req, 0, FNV_BASIS).0
+}
+
+/// [`encode_request`] that also folds the payload's last `tail` bytes
+/// into the running fnv64 state `fold`, in the same digest pass that
+/// seals the frame. Returns the frame and the advanced state.
+pub fn encode_request_folding(req: &Request, tail: usize, fold: u64) -> (Bytes, u64) {
+    assert!(
+        tail <= req.payload.len(),
+        "fold tail longer than the payload"
     );
-    body.put_slice(REQUEST_MAGIC);
-    body.put_u16_le(PROTOCOL_VERSION);
-    body.put_u8(req.op.as_u8());
-    body.put_u8(req.kind.as_u8());
-    body.put_u16_le(req.tenant.len() as u16);
-    body.put_slice(req.tenant.as_bytes());
-    body.put_u16_le(req.key.len() as u16);
-    body.put_slice(req.key.as_bytes());
-    body.put_u32_le(req.payload.len() as u32);
-    body.put_slice(&req.payload);
-    frame(&body.freeze())
+    let mut frame = BytesMut::with_capacity(
+        FRAME_HEAD + 16 + req.tenant.len() + req.key.len() + req.payload.len(),
+    );
+    frame.put_slice(&[0; FRAME_HEAD]);
+    frame.put_slice(REQUEST_MAGIC);
+    frame.put_u16_le(PROTOCOL_VERSION);
+    frame.put_u8(req.op.as_u8());
+    frame.put_u8(req.kind.as_u8());
+    frame.put_u16_le(req.tenant.len() as u16);
+    frame.put_slice(req.tenant.as_bytes());
+    frame.put_u16_le(req.key.len() as u16);
+    frame.put_slice(req.key.as_bytes());
+    frame.put_u32_le(req.payload.len() as u32);
+    frame.put_slice(&req.payload);
+    seal_frame(frame, tail, fold)
 }
 
 /// Serialize and seal a response into one wire frame (length prefix
 /// included).
 pub fn encode_response(resp: &Response) -> Bytes {
-    let mut body =
-        BytesMut::with_capacity(16 + resp.detail.len() + resp.payload.len());
-    body.put_slice(RESPONSE_MAGIC);
-    body.put_u16_le(PROTOCOL_VERSION);
-    body.put_u8(resp.op.as_u8());
-    body.put_u8(resp.status.as_u8());
-    body.put_u16_le(resp.detail.len() as u16);
-    body.put_slice(resp.detail.as_bytes());
-    body.put_u32_le(resp.payload.len() as u32);
-    body.put_slice(&resp.payload);
-    frame(&body.freeze())
+    let mut frame =
+        BytesMut::with_capacity(FRAME_HEAD + 16 + resp.detail.len() + resp.payload.len());
+    frame.put_slice(&[0; FRAME_HEAD]);
+    frame.put_slice(RESPONSE_MAGIC);
+    frame.put_u16_le(PROTOCOL_VERSION);
+    frame.put_u8(resp.op.as_u8());
+    frame.put_u8(resp.status.as_u8());
+    frame.put_u16_le(resp.detail.len() as u16);
+    frame.put_slice(resp.detail.as_bytes());
+    frame.put_u32_le(resp.payload.len() as u32);
+    frame.put_slice(&resp.payload);
+    seal_frame(frame, 0, FNV_BASIS).0
 }
 
-/// Seal a body and prepend the u32 frame-length prefix.
-fn frame(body: &Bytes) -> Bytes {
-    let sealed = codec::seal(body);
-    let mut out = BytesMut::with_capacity(4 + sealed.len());
-    out.put_u32_le(sealed.len() as u32);
-    out.put_slice(&sealed);
-    out.freeze()
+/// Fill in the length prefix and DPSL seal of a frame whose body follows
+/// [`FRAME_HEAD`] placeholder bytes. The body's last `tail` bytes are
+/// also folded into `fold` in the same two-lane digest pass; returns the
+/// frame and the advanced fold.
+fn seal_frame(mut frame: BytesMut, tail: usize, fold: u64) -> (Bytes, u64) {
+    let (seal, fold) = seal_digest_folding(&frame[FRAME_HEAD..], tail, fold);
+    let sealed_len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&sealed_len.to_le_bytes());
+    frame[4..8].copy_from_slice(codec::SEAL_MAGIC);
+    frame[8..FRAME_HEAD].copy_from_slice(&seal.to_le_bytes());
+    (frame.freeze(), fold)
 }
 
-/// Unseal a frame body (the bytes *after* the length prefix) and hand
-/// back the plain body for parsing.
-fn unseal_body(sealed: &Bytes) -> Result<Bytes, ProtoError> {
+/// The seal digest of `body`, and `fold` advanced over the body's last
+/// `tail` bytes: one serial pass over the rest of the body, then one
+/// two-lane pass over the tail.
+fn seal_digest_folding(body: &[u8], tail: usize, fold: u64) -> (u64, u64) {
+    let (head, tail) = body.split_at(body.len() - tail);
+    let mut lanes = [(fnv64_fold(FNV_BASIS, head), tail), (fold, tail)];
+    fnv64_fold_many(&mut lanes);
+    (lanes[0].0, lanes[1].0)
+}
+
+/// Reject a sealed frame body over the frame cap.
+fn check_frame_cap(sealed: &Bytes) -> Result<(), ProtoError> {
     if sealed.len() > MAX_FRAME_BYTES {
         return Err(ProtoError::Oversized {
             declared: sealed.len(),
             limit: MAX_FRAME_BYTES,
         });
     }
+    Ok(())
+}
+
+/// Unseal a frame body (the bytes *after* the length prefix) and hand
+/// back the plain body for parsing.
+fn unseal_body(sealed: &Bytes) -> Result<Bytes, ProtoError> {
+    check_frame_cap(sealed)?;
     codec::unseal(sealed).map_err(ProtoError::Seal)
 }
 
@@ -512,11 +549,53 @@ pub fn decode_request(sealed: &Bytes) -> Result<Request, ProtoError> {
 
 /// Parse a sealed response frame body.
 pub fn decode_response(sealed: &Bytes) -> Result<Response, ProtoError> {
-    let mut body = unseal_body(sealed)?;
+    decode_response_folding(sealed, usize::MAX, FNV_BASIS).map(|(resp, _)| resp)
+}
+
+/// [`decode_response`] that also folds the response payload, past its
+/// first `skip` bytes, into the running fnv64 state `fold` in the same
+/// digest pass that checks the seal (a `skip` at or past the payload's
+/// end folds nothing). Returns the response and the advanced state.
+///
+/// The body is parsed before its seal is checked, because the parse
+/// finds where the payload starts; every declared length is still
+/// checked against the bytes present. A body that fails to parse has
+/// its seal checked on its own first, so a damaged frame reports as a
+/// seal failure exactly as [`decode_request`] reports it.
+pub fn decode_response_folding(
+    sealed: &Bytes,
+    skip: usize,
+    fold: u64,
+) -> Result<(Response, u64), ProtoError> {
+    check_frame_cap(sealed)?;
+    let (stored, body) = codec::split_seal(sealed).map_err(ProtoError::Seal)?;
+    let seal_error = |actual| ProtoError::Seal(CodecError::SealMismatch { stored, actual });
+    let resp = match parse_response(body.clone()) {
+        Ok(resp) => resp,
+        Err(e) => {
+            let actual = fnv64_fold(FNV_BASIS, &body);
+            return Err(if actual != stored {
+                seal_error(actual)
+            } else {
+                e
+            });
+        }
+    };
+    // The payload is the body's last field, so its folded part is the
+    // body's tail.
+    let tail = resp.payload.len().saturating_sub(skip);
+    let (actual, fold) = seal_digest_folding(&body, tail, fold);
+    if actual != stored {
+        return Err(seal_error(actual));
+    }
+    Ok((resp, fold))
+}
+
+/// Parse an unsealed response body.
+fn parse_response(mut body: Bytes) -> Result<Response, ProtoError> {
     let (op_byte, status_byte) = decode_prologue(&mut body, RESPONSE_MAGIC)?;
     let op = Op::from_u8(op_byte).ok_or(ProtoError::UnknownOp(op_byte))?;
-    let status =
-        Status::from_u8(status_byte).ok_or(ProtoError::UnknownStatus(status_byte))?;
+    let status = Status::from_u8(status_byte).ok_or(ProtoError::UnknownStatus(status_byte))?;
     need(&body, 2)?;
     let detail_len = body.get_u16_le() as usize;
     let detail = take_text(&mut body, detail_len)?;

@@ -127,10 +127,13 @@ pub fn decode_begin(payload: &Bytes) -> Result<u32, ProtoError> {
     Ok(chunk_size)
 }
 
+/// Bytes of a chunk payload before its data: the u32 sequence number.
+pub const CHUNK_SEQ_BYTES: usize = 4;
+
 /// Encode a chunk payload (`PutChunk` request / `GetChunk` response):
 /// the sequence number followed by the chunk bytes.
 pub fn encode_chunk(seq: u32, data: &[u8]) -> Bytes {
-    let mut out = BytesMut::with_capacity(4 + data.len());
+    let mut out = BytesMut::with_capacity(CHUNK_SEQ_BYTES + data.len());
     out.put_u32_le(seq);
     out.put_slice(data);
     out.freeze()
@@ -140,7 +143,7 @@ pub fn encode_chunk(seq: u32, data: &[u8]) -> Bytes {
 /// zero-copy view into the frame.
 pub fn decode_chunk(payload: &Bytes) -> Result<(u32, Bytes), ProtoError> {
     let mut b = payload.clone();
-    short(&b, 4)?;
+    short(&b, CHUNK_SEQ_BYTES)?;
     let seq = b.get_u32_le();
     if b.len() > MAX_CHUNK_BYTES {
         return Err(ProtoError::Oversized {

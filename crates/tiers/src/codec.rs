@@ -136,7 +136,7 @@ impl CodecError {
 /// FNV-1a 64 — the toolkit's standard content digest, shared by the
 /// integrity seal, the archive container and the conditions-snapshot
 /// text form (defined once in `daspos-hep`).
-pub use daspos_hep::{fnv64, fnv64_fold, FNV_BASIS};
+pub use daspos_hep::{fnv64, fnv64_fold, fnv64_fold_many, FNV_BASIS};
 
 /// Magic of the integrity seal: "DASPOS Sealed".
 pub const SEAL_MAGIC: &[u8; 4] = b"DPSL";
@@ -166,6 +166,19 @@ pub fn seal(payload: &Bytes) -> Bytes {
 /// copied (the digest pass reads them once, as it must). Holding the
 /// result keeps the sealed buffer alive.
 pub fn unseal(data: &Bytes) -> Result<Bytes, CodecError> {
+    let (stored, payload) = split_seal(data)?;
+    let actual = fnv64(&payload);
+    if stored != actual {
+        return Err(CodecError::SealMismatch { stored, actual });
+    }
+    Ok(payload)
+}
+
+/// Split an integrity seal into the digest it stores and the payload,
+/// checking the magic but not the digest. [`unseal`] is this plus the
+/// digest check; a caller that also folds the payload for a digest of
+/// its own checks the seal in the same pass instead.
+pub fn split_seal(data: &Bytes) -> Result<(u64, Bytes), CodecError> {
     let mut b = data.clone();
     need(&b, SEAL_OVERHEAD)?;
     let mut magic = [0u8; 4];
@@ -174,11 +187,7 @@ pub fn unseal(data: &Bytes) -> Result<Bytes, CodecError> {
         return Err(CodecError::BadMagic);
     }
     let stored = b.get_u64_le();
-    let actual = fnv64(&b);
-    if stored != actual {
-        return Err(CodecError::SealMismatch { stored, actual });
-    }
-    Ok(b)
+    Ok((stored, b))
 }
 
 #[inline]

@@ -1835,6 +1835,8 @@ fn decode_row(r: &[ColumnReader; N_COLUMNS], row: usize, slim: &SlimSpec) -> Aod
 struct ColumnCache<'a> {
     file: &'a ColumnarFile,
     readers: [Option<ColumnReader>; N_COLUMNS],
+    /// Columns opened at least once, evicted or not.
+    opened: [bool; N_COLUMNS],
 }
 
 impl<'a> ColumnCache<'a> {
@@ -1842,6 +1844,7 @@ impl<'a> ColumnCache<'a> {
         ColumnCache {
             file,
             readers: Default::default(),
+            opened: [false; N_COLUMNS],
         }
     }
 
@@ -1849,8 +1852,14 @@ impl<'a> ColumnCache<'a> {
     fn ensure(&mut self, id: ColumnId) -> Result<(), CodecError> {
         if self.readers[id as usize].is_none() {
             self.readers[id as usize] = Some(self.file.open(id, false)?);
+            self.opened[id as usize] = true;
         }
         Ok(())
+    }
+
+    /// Drop an open column's decoded payload; it still counts as opened.
+    fn evict(&mut self, id: ColumnId) {
+        self.readers[id as usize] = None;
     }
 
     /// Borrow a column [`ColumnCache::ensure`]d earlier.
@@ -1861,7 +1870,7 @@ impl<'a> ColumnCache<'a> {
     }
 
     fn opened(&self) -> usize {
-        self.readers.iter().filter(|r| r.is_some()).count()
+        self.opened.iter().filter(|&&o| o).count()
     }
 }
 
@@ -2040,11 +2049,10 @@ fn skim_columnar_core(
         k[ColumnId::Candidate as usize] = slim.keep_candidates;
         k
     };
-    for (i, kept) in keep.iter().enumerate() {
-        if *kept {
-            cache.ensure(ColumnId::ALL[i])?;
-        }
-    }
+    // Without a survivor callback each kept column is opened when its
+    // output frame is built and dropped right after, so the pass holds
+    // one decoded input column at a time; the callback needs them all.
+    let keep_open = on_survivor.is_some();
 
     let survivors: Vec<u32> = mask
         .iter()
@@ -2070,14 +2078,15 @@ fn skim_columnar_core(
         runs
     };
 
-    // One raw-column scratch is reused (cleared, capacity kept) across
-    // all ten columns, so the pass holds a single raw column plus the
-    // much smaller encoded frames instead of ten raw columns at once —
-    // that was the columnar skim's allocation peak.
-    let mut raw = BytesMut::new();
+    // Each column's raw scratch is sized exactly for that column and
+    // freed before the next one is built, so the pass holds a single raw
+    // column plus the much smaller encoded frames instead of ten raw
+    // columns at once — that was the columnar skim's allocation peak. (A
+    // scratch reused across columns would keep the doubled capacity its
+    // largest column grew it to.)
     let mut frames: [BytesMut; N_COLUMNS] = Default::default();
     for (i, id) in ColumnId::ALL.iter().enumerate() {
-        raw.clear();
+        let mut raw = BytesMut::new();
         if !keep[i] {
             // Dropped collection: every surviving row becomes count = 0,
             // without ever opening the source column.
@@ -2088,6 +2097,7 @@ fn skim_columnar_core(
             frames[i] = encode_column(*id, &raw, n_out);
             continue;
         }
+        cache.ensure(*id)?;
         let col = cache.get(*id);
         match id.layout() {
             ColumnLayout::Fixed(stride) => {
@@ -2154,6 +2164,9 @@ fn skim_columnar_core(
             }
         }
         frames[i] = encode_column(*id, &raw, n_out);
+        if !keep_open {
+            cache.evict(*id);
+        }
     }
 
     if let Some(cb) = on_survivor {
@@ -2190,11 +2203,11 @@ fn skim_columnar_core(
             .add(N_COLUMNS as u64 - read);
     }
 
-    // The decoded input columns and the raw scratch are dead here: free
-    // them before the output is assembled rather than hold them across
-    // the pass's largest allocation.
+    // The decoded input columns and the row bookkeeping are dead here:
+    // free them before the output is assembled rather than hold them
+    // across the pass's largest allocation.
     drop(cache);
-    drop(raw);
+    drop((mask, survivors, runs));
     let out = assemble_file(COLUMNAR_VERSION, n_out as u32, &frames);
     let report = SkimReport {
         events_in: cf.n_rows as u64,

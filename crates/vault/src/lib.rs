@@ -58,7 +58,7 @@ pub use flaky::{FlakyBackend, FlakyConfig};
 pub use object::{
     decode_envelope, encode_envelope, envelope_digest, ColumnarVerifier, ConditionsVerifier,
     EnvelopeError, ObjectKind, SealedTierVerifier, Verifier, ENVELOPE_MAGIC, ENVELOPE_OVERHEAD,
-    ENVELOPE_VERSION,
+    ENVELOPE_VERSION, MAX_PAYLOAD_LEN,
 };
 pub use policy::RetryPolicy;
 pub use shard::{

@@ -157,15 +157,36 @@ impl std::fmt::Display for EnvelopeError {
 
 impl std::error::Error for EnvelopeError {}
 
+/// Largest payload an envelope can carry. The whole envelope must fit
+/// the u32 length fields: the envelope's own payload length, and the
+/// `object_len` of the `DPVS` shards it is cut into.
+/// [`Vault::put`](crate::Vault::put) refuses anything longer.
+pub const MAX_PAYLOAD_LEN: usize = u32::MAX as usize - ENVELOPE_OVERHEAD;
+
+/// The fnv64 state after the kind byte: where an envelope digest's fold
+/// over the payload starts.
+fn kind_fold(kind: ObjectKind) -> u64 {
+    fnv64_fold(FNV_BASIS, &[kind.as_u8()])
+}
+
 /// The digest an envelope stores: fnv64 over the kind byte followed by
 /// the payload, so kind and payload corrupt together. Folded in two
 /// steps, so the payload is never copied.
 pub fn envelope_digest(kind: ObjectKind, payload: &[u8]) -> u64 {
-    fnv64_fold(fnv64_fold(FNV_BASIS, &[kind.as_u8()]), payload)
+    fnv64_fold(kind_fold(kind), payload)
 }
 
 /// Wrap `payload` in a `DPVO` envelope.
+///
+/// # Panics
+///
+/// If the payload is longer than [`MAX_PAYLOAD_LEN`].
 pub fn encode_envelope(kind: ObjectKind, payload: &Bytes) -> Bytes {
+    assert!(
+        payload.len() <= MAX_PAYLOAD_LEN,
+        "a {}-byte payload exceeds the envelope's u32 length fields",
+        payload.len()
+    );
     let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD + payload.len());
     out.extend_from_slice(ENVELOPE_MAGIC);
     out.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
@@ -176,9 +197,38 @@ pub fn encode_envelope(kind: ObjectKind, payload: &Bytes) -> Bytes {
     Bytes::from(out)
 }
 
-/// Unwrap a `DPVO` envelope, verifying version, kind, length, and
-/// digest. The returned payload is a zero-copy slice of `data`.
-pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeError> {
+/// An envelope whose header parsed, before its digest is checked.
+pub(crate) struct ParsedEnvelope {
+    pub(crate) kind: ObjectKind,
+    /// The digest the header stores.
+    pub(crate) stored: u64,
+    /// A zero-copy slice of the envelope.
+    pub(crate) payload: Bytes,
+}
+
+impl ParsedEnvelope {
+    /// The fold that recomputes the digest: a start state and the bytes
+    /// to fold into it, ready for a multi-lane pass.
+    pub(crate) fn digest_lane(&self) -> (u64, &[u8]) {
+        (kind_fold(self.kind), &self.payload)
+    }
+
+    /// Compare the recomputed digest with the stored one.
+    pub(crate) fn check(&self, computed: u64) -> Result<(), EnvelopeError> {
+        if self.stored == computed {
+            Ok(())
+        } else {
+            Err(EnvelopeError::Digest {
+                stored: self.stored,
+                computed,
+            })
+        }
+    }
+}
+
+/// Parse a `DPVO` envelope's header, verifying version, kind and
+/// length but not the digest.
+pub(crate) fn parse_envelope(data: &Bytes) -> Result<ParsedEnvelope, EnvelopeError> {
     if data.len() < ENVELOPE_OVERHEAD || &data[..4] != ENVELOPE_MAGIC {
         return Err(EnvelopeError::NotAnEnvelope);
     }
@@ -193,21 +243,19 @@ pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeErro
     if declared != actual {
         return Err(EnvelopeError::Length { declared, actual });
     }
-    let payload = data.slice(ENVELOPE_OVERHEAD..);
-    let computed = envelope_digest(kind, &payload);
-    if stored != computed {
-        return Err(EnvelopeError::Digest { stored, computed });
-    }
-    Ok((kind, payload))
+    Ok(ParsedEnvelope {
+        kind,
+        stored,
+        payload: data.slice(ENVELOPE_OVERHEAD..),
+    })
 }
 
-/// The kind, stored digest and payload of an envelope that
-/// [`decode_envelope`] already accepted, read straight from the header
-/// without hashing the payload again.
-pub(crate) fn split_decoded_envelope(data: &Bytes) -> (ObjectKind, u64, Bytes) {
-    let kind = ObjectKind::from_u8(data[6]).expect("decoded envelopes carry a known kind");
-    let digest = u64::from_le_bytes(data[7..15].try_into().expect("8-byte slice"));
-    (kind, digest, data.slice(ENVELOPE_OVERHEAD..))
+/// Unwrap a `DPVO` envelope, verifying version, kind, length, and
+/// digest. The returned payload is a zero-copy slice of `data`.
+pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeError> {
+    let parsed = parse_envelope(data)?;
+    parsed.check(envelope_digest(parsed.kind, &parsed.payload))?;
+    Ok((parsed.kind, parsed.payload))
 }
 
 /// A deep integrity check for one [`ObjectKind`], applied by scrub (and

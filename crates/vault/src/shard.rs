@@ -29,7 +29,7 @@
 //! the shard in a minority generation that reconstruction outvotes.
 
 use bytes::Bytes;
-use daspos_tiers::codec::{fnv64_fold, FNV_BASIS};
+use daspos_tiers::codec::{fnv64_fold, fnv64_fold_many, FNV_BASIS};
 
 /// Shard envelope magic: **D**ASPOS **P**reservation **V**ault **S**hard.
 pub const SHARD_MAGIC: &[u8; 4] = b"DPVS";
@@ -93,37 +93,99 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// The digest a shard envelope stores: fnv64 over the header fields the
-/// stripe depends on, then the payload.
-pub fn shard_digest(header: &ShardHeader, payload: &[u8]) -> u64 {
+/// The fnv64 state after the header fields a shard digest covers:
+/// where its fold over the payload starts.
+fn header_fold(header: &ShardHeader) -> u64 {
     let mut fields = [0u8; 15];
     fields[0] = header.index;
     fields[1] = header.k;
     fields[2] = header.m;
     fields[3..7].copy_from_slice(&header.object_len.to_le_bytes());
     fields[7..15].copy_from_slice(&header.object_digest.to_le_bytes());
-    fnv64_fold(fnv64_fold(FNV_BASIS, &fields), payload)
+    fnv64_fold(FNV_BASIS, &fields)
+}
+
+/// The digest a shard envelope stores: fnv64 over the header fields the
+/// stripe depends on, then the payload.
+pub fn shard_digest(header: &ShardHeader, payload: &[u8]) -> u64 {
+    fnv64_fold(header_fold(header), payload)
 }
 
 /// Wrap one shard in a `DPVS` envelope.
 pub fn encode_shard(header: &ShardHeader, payload: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(SHARD_OVERHEAD + payload.len());
-    out.extend_from_slice(SHARD_MAGIC);
-    out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
-    out.push(header.index);
-    out.push(header.k);
-    out.push(header.m);
-    out.extend_from_slice(&header.object_len.to_le_bytes());
-    out.extend_from_slice(&header.object_digest.to_le_bytes());
-    out.extend_from_slice(&shard_digest(header, payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    Bytes::from(out)
+    encode_shards(&[(*header, payload)])
+        .pop()
+        .expect("one shard in, one envelope out")
 }
 
-/// Unwrap a `DPVS` envelope, verifying version, geometry plausibility,
-/// length, and the shard digest. The payload is a zero-copy slice.
-pub fn decode_shard(data: &Bytes) -> Result<(ShardHeader, Bytes), ShardError> {
+/// Wrap every shard of a stripe in its `DPVS` envelope, in order, with
+/// all shard digests computed in one multi-lane pass.
+///
+/// # Panics
+///
+/// If a payload is longer than the u32 `shard_len` field. Shards are cut
+/// from an envelope whose length [`Vault::put`](crate::Vault::put)
+/// already bounds, so a vault never gets here with one.
+pub(crate) fn encode_shards(shards: &[(ShardHeader, &[u8])]) -> Vec<Bytes> {
+    let mut lanes: Vec<(u64, &[u8])> = shards
+        .iter()
+        .map(|(header, payload)| (header_fold(header), *payload))
+        .collect();
+    fnv64_fold_many(&mut lanes);
+    shards
+        .iter()
+        .zip(lanes)
+        .map(|((header, payload), (digest, _))| {
+            let shard_len = u32::try_from(payload.len())
+                .expect("shard payload exceeds the u32 shard_len field");
+            let mut out = Vec::with_capacity(SHARD_OVERHEAD + payload.len());
+            out.extend_from_slice(SHARD_MAGIC);
+            out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
+            out.push(header.index);
+            out.push(header.k);
+            out.push(header.m);
+            out.extend_from_slice(&header.object_len.to_le_bytes());
+            out.extend_from_slice(&header.object_digest.to_le_bytes());
+            out.extend_from_slice(&digest.to_le_bytes());
+            out.extend_from_slice(&shard_len.to_le_bytes());
+            out.extend_from_slice(payload);
+            Bytes::from(out)
+        })
+        .collect()
+}
+
+/// A shard envelope whose header parsed, before its digest is checked.
+pub(crate) struct ParsedShard {
+    pub(crate) header: ShardHeader,
+    /// The digest the envelope stores.
+    pub(crate) stored: u64,
+    /// A zero-copy slice of the envelope.
+    pub(crate) payload: Bytes,
+}
+
+impl ParsedShard {
+    /// The fold that recomputes the digest: a start state and the bytes
+    /// to fold into it, ready for a multi-lane pass.
+    pub(crate) fn digest_lane(&self) -> (u64, &[u8]) {
+        (header_fold(&self.header), &self.payload)
+    }
+
+    /// Compare the recomputed digest with the stored one.
+    pub(crate) fn check(&self, computed: u64) -> Result<(), ShardError> {
+        if self.stored == computed {
+            Ok(())
+        } else {
+            Err(ShardError::Digest {
+                stored: self.stored,
+                computed,
+            })
+        }
+    }
+}
+
+/// Parse a `DPVS` envelope's header, verifying version, geometry
+/// plausibility and length but not the digest.
+pub(crate) fn parse_shard(data: &Bytes) -> Result<ParsedShard, ShardError> {
     if data.len() < SHARD_OVERHEAD || &data[..4] != SHARD_MAGIC {
         return Err(ShardError::NotAShard);
     }
@@ -148,12 +210,19 @@ pub fn decode_shard(data: &Bytes) -> Result<(ShardHeader, Bytes), ShardError> {
     if declared != actual {
         return Err(ShardError::Length { declared, actual });
     }
-    let payload = data.slice(SHARD_OVERHEAD..);
-    let computed = shard_digest(&header, &payload);
-    if stored != computed {
-        return Err(ShardError::Digest { stored, computed });
-    }
-    Ok((header, payload))
+    Ok(ParsedShard {
+        header,
+        stored,
+        payload: data.slice(SHARD_OVERHEAD..),
+    })
+}
+
+/// Unwrap a `DPVS` envelope, verifying version, geometry plausibility,
+/// length, and the shard digest. The payload is a zero-copy slice.
+pub fn decode_shard(data: &Bytes) -> Result<(ShardHeader, Bytes), ShardError> {
+    let parsed = parse_shard(data)?;
+    parsed.check(shard_digest(&parsed.header, &parsed.payload))?;
+    Ok((parsed.header, parsed.payload))
 }
 
 #[cfg(test)]

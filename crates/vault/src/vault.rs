@@ -17,14 +17,23 @@
 //!   shards is reported loudly as [`VaultError::Unrecoverable`] — the
 //!   vault never fabricates bytes.
 //!
-//! Reads and scans run one slot pipeline: classify every slot as
-//! healthy (tagged with the write generation it belongs to), corrupt or
-//! missing; vote for the generation the most healthy slots back;
-//! recover that generation's object; then heal or repair every slot
-//! that is corrupt, missing or stranded in an outvoted generation. A
-//! replica read therefore votes instead of taking the first copy that
-//! verifies, and a stale but valid copy left behind by an earlier write
-//! is outvoted and rewritten exactly like a stale shard.
+//! Reads and scans run one slot pipeline: read every slot, then
+//! classify each as healthy (tagged with the write generation it belongs
+//! to), corrupt or missing; vote for the generation the most healthy
+//! slots back; recover that generation's object; then heal or repair
+//! every slot that is corrupt, missing or stranded in an outvoted
+//! generation. A replica read therefore votes instead of taking the
+//! first copy that verifies, and a stale but valid copy left behind by
+//! an earlier write is outvoted and rewritten exactly like a stale
+//! shard.
+//!
+//! Classification parses every slot's header first and then checks all
+//! slot digests — shard digests, or replica envelope digests — in one
+//! multi-lane pass ([`fnv64_fold_many`]), and an erasure recovery checks
+//! the object digest and the envelope digest of the reconstruction in
+//! one two-lane pass over its payload. Encoding digests all `k + m`
+//! shards of a stripe in one pass too. Every digest is still computed
+//! over the same bytes and compared; the passes only run side by side.
 //!
 //! The [`scrub`](Vault::scrub) pass makes read-time resilience a
 //! recurring, deterministic sweep: it walks the union of keys across
@@ -45,16 +54,16 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use daspos_obs::Obs;
-use daspos_tiers::codec::fnv64;
+use daspos_tiers::codec::{fnv64, fnv64_fold, fnv64_fold_many, FNV_BASIS};
 
 use crate::backend::{StorageBackend, StorageError};
 use crate::erasure::Erasure;
 use crate::object::{
-    decode_envelope, encode_envelope, split_decoded_envelope, ColumnarVerifier,
-    ConditionsVerifier, ObjectKind, SealedTierVerifier, Verifier,
+    encode_envelope, parse_envelope, ColumnarVerifier, ConditionsVerifier, ObjectKind,
+    ParsedEnvelope, SealedTierVerifier, Verifier, ENVELOPE_OVERHEAD, MAX_PAYLOAD_LEN,
 };
 use crate::policy::RetryPolicy;
-use crate::shard::{decode_shard, encode_shard, ShardHeader};
+use crate::shard::{encode_shards, parse_shard, ParsedShard, ShardHeader};
 
 /// A vault-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,6 +92,16 @@ pub enum VaultError {
         /// Shards a reconstruction needs (= the geometry's `k`).
         need: usize,
     },
+    /// The payload is too long for the envelope and shard length
+    /// fields; nothing was written.
+    TooLarge {
+        /// The object's key.
+        key: String,
+        /// The payload's length in bytes.
+        len: usize,
+        /// The longest payload the vault stores ([`MAX_PAYLOAD_LEN`]).
+        limit: usize,
+    },
     /// A storage operation failed permanently (after retries).
     Storage(StorageError),
 }
@@ -99,6 +118,10 @@ impl fmt::Display for VaultError {
             VaultError::Unrecoverable { key, have, need } => write!(
                 f,
                 "'{key}' is unrecoverable: only {have} of the {need} shards needed survive"
+            ),
+            VaultError::TooLarge { key, len, limit } => write!(
+                f,
+                "'{key}' is too large to store: {len} payload bytes exceed the {limit}-byte limit"
             ),
             VaultError::Storage(e) => write!(f, "storage failure: {e}"),
         }
@@ -350,6 +373,37 @@ impl SlotState {
     }
 }
 
+/// A slot whose header parsed, waiting for its digest check.
+enum ParsedSlot {
+    /// A replica slot: the whole envelope, kept as the slot's bytes.
+    Envelope { raw: Bytes, envelope: ParsedEnvelope },
+    /// A shard slot.
+    Shard(ParsedShard),
+}
+
+impl ParsedSlot {
+    /// The fold that recomputes the slot's digest.
+    fn digest_lane(&self) -> (u64, &[u8]) {
+        match self {
+            ParsedSlot::Envelope { envelope, .. } => envelope.digest_lane(),
+            ParsedSlot::Shard(shard) => shard.digest_lane(),
+        }
+    }
+}
+
+/// Refuse a payload the envelope and shard length fields cannot
+/// describe, before anything is written.
+fn check_payload_len(key: &str, len: usize) -> Result<(), VaultError> {
+    if len > MAX_PAYLOAD_LEN {
+        return Err(VaultError::TooLarge {
+            key: key.to_string(),
+            len,
+            limit: MAX_PAYLOAD_LEN,
+        });
+    }
+    Ok(())
+}
+
 /// Pick the stripe's winning generation: the one backed by the most
 /// healthy slots, ties broken toward the larger `(length, digest)` so
 /// every reader and every scrub picks the same one. Returns the
@@ -564,8 +618,11 @@ impl Vault {
     /// Backends that fail permanently are skipped (and the first such
     /// error returned) *after* all remaining backends were attempted, so
     /// one bad backend never blocks the others from receiving the object
-    /// — the next scrub re-converges the stragglers.
+    /// — the next scrub re-converges the stragglers. A payload longer
+    /// than [`MAX_PAYLOAD_LEN`] is refused with [`VaultError::TooLarge`]
+    /// before any backend is written.
     pub fn put(&self, key: &str, kind: ObjectKind, payload: &Bytes) -> Result<(), VaultError> {
+        check_payload_len(key, payload.len())?;
         let envelope = encode_envelope(kind, payload);
         let mut first_err = None;
         for (i, slot) in self.encode_slots(&envelope).iter().enumerate() {
@@ -621,61 +678,114 @@ impl Vault {
         match &self.layout {
             Layout::Replicas => vec![envelope.clone(); self.width],
             Layout::Erasure(ec) => {
+                let object_len = u32::try_from(envelope.len())
+                    .expect("Vault::put bounds envelopes to the u32 length fields");
                 let object_digest = fnv64(envelope);
-                ec.encode(envelope)
-                    .into_iter()
+                let payloads = ec.encode(envelope);
+                let shards: Vec<(ShardHeader, &[u8])> = payloads
+                    .iter()
                     .enumerate()
                     .map(|(i, payload)| {
-                        encode_shard(
-                            &ShardHeader {
-                                index: i as u8,
-                                k: ec.k() as u8,
-                                m: ec.m() as u8,
-                                object_len: envelope.len() as u32,
-                                object_digest,
-                            },
-                            &payload,
-                        )
+                        let header = ShardHeader {
+                            index: i as u8,
+                            k: ec.k() as u8,
+                            m: ec.m() as u8,
+                            object_len,
+                            object_digest,
+                        };
+                        (header, payload.as_slice())
                     })
-                    .collect()
+                    .collect();
+                encode_shards(&shards)
             }
         }
     }
 
-    /// Read and classify slot `i` of `key`. A replica slot must decode
-    /// as a `DPVO` envelope and pass its kind's deep verifier; its
-    /// generation comes from the header, so no second hash pass runs. A
-    /// shard slot must decode as a `DPVS` envelope whose geometry
-    /// matches the vault's and whose index matches the slot it was read
-    /// from — which is what catches geometry tampering even when the
-    /// shard digest was recomputed.
-    fn classify_slot(&self, key: &str, i: usize) -> SlotState {
+    /// Read slot `i` of `key` from its backend. A slot that is absent
+    /// or unreadable is already classified.
+    fn read_slot(&self, key: &str, i: usize) -> Result<Bytes, SlotState> {
         let backend = &self.backends[self.slot_backend(key, i)];
-        let raw = match self.with_retry(|| backend.get(key)) {
-            Ok(raw) => raw,
-            Err(StorageError::NotFound(_)) => return SlotState::Missing,
-            Err(e) => return SlotState::Corrupt(format!("unreadable: {e}")),
+        match self.with_retry(|| backend.get(key)) {
+            Ok(raw) => Ok(raw),
+            Err(StorageError::NotFound(_)) => Err(SlotState::Missing),
+            Err(e) => Err(SlotState::Corrupt(format!("unreadable: {e}"))),
+        }
+    }
+
+    /// Classify a stripe's slot reads, slot order. Every slot's header is
+    /// parsed first; then one multi-lane pass recomputes the digests of
+    /// all slots that parsed, and each slot is judged on its digest.
+    ///
+    /// A replica slot must decode as a `DPVO` envelope and pass its
+    /// kind's deep verifier; its generation comes from the header, so no
+    /// second hash pass runs. A shard slot must decode as a `DPVS`
+    /// envelope whose geometry matches the vault's and whose index
+    /// matches the slot it was read from — which is what catches
+    /// geometry tampering even when the shard digest was recomputed.
+    fn classify_reads(&self, reads: Vec<Result<Bytes, SlotState>>) -> Vec<SlotState> {
+        let parsed: Vec<Result<ParsedSlot, SlotState>> = reads
+            .into_iter()
+            .map(|read| read.and_then(|raw| self.parse_slot(raw)))
+            .collect();
+        let digests: Vec<u64> = {
+            let mut lanes: Vec<(u64, &[u8])> = parsed
+                .iter()
+                .flatten()
+                .map(ParsedSlot::digest_lane)
+                .collect();
+            fnv64_fold_many(&mut lanes);
+            lanes.into_iter().map(|(digest, _)| digest).collect()
         };
+        let mut digests = digests.into_iter();
+        parsed
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| match slot {
+                Ok(slot) => {
+                    let computed = digests.next().expect("one digest per parsed slot");
+                    self.judge_slot(i, slot, computed)
+                }
+                Err(state) => state,
+            })
+            .collect()
+    }
+
+    /// Parse a slot's header as this vault's layout expects.
+    fn parse_slot(&self, raw: Bytes) -> Result<ParsedSlot, SlotState> {
         match &self.layout {
-            Layout::Replicas => {
-                let (kind, payload) = match decode_envelope(&raw) {
-                    Ok(parts) => parts,
-                    Err(e) => return SlotState::Corrupt(e.to_string()),
-                };
-                if let Err(reason) = self.deep_verify(kind, &payload) {
+            Layout::Replicas => match parse_envelope(&raw) {
+                Ok(envelope) => Ok(ParsedSlot::Envelope { raw, envelope }),
+                Err(e) => Err(SlotState::Corrupt(e.to_string())),
+            },
+            Layout::Erasure(_) => parse_shard(&raw)
+                .map(ParsedSlot::Shard)
+                .map_err(|e| SlotState::Corrupt(e.to_string())),
+        }
+    }
+
+    /// Judge parsed slot `i` given its recomputed digest.
+    fn judge_slot(&self, i: usize, slot: ParsedSlot, computed: u64) -> SlotState {
+        match slot {
+            ParsedSlot::Envelope { raw, envelope } => {
+                if let Err(e) = envelope.check(computed) {
+                    return SlotState::Corrupt(e.to_string());
+                }
+                if let Err(reason) = self.deep_verify(envelope.kind, &envelope.payload) {
                     return SlotState::Corrupt(reason);
                 }
-                let (_, digest, _) = split_decoded_envelope(&raw);
                 SlotState::Healthy {
-                    generation: (raw.len(), digest),
+                    generation: (raw.len(), envelope.stored),
                     bytes: raw,
                 }
             }
-            Layout::Erasure(ec) => {
-                let (header, payload) = match decode_shard(&raw) {
-                    Ok(parts) => parts,
-                    Err(e) => return SlotState::Corrupt(e.to_string()),
+            ParsedSlot::Shard(shard) => {
+                if let Err(e) = shard.check(computed) {
+                    return SlotState::Corrupt(e.to_string());
+                }
+                let Layout::Erasure(ec) = &self.layout else {
+                    unreachable!("shard slots are only parsed under an erasure layout")
                 };
+                let header = shard.header;
                 if header.k as usize != ec.k()
                     || header.m as usize != ec.m()
                     || header.index as usize != i
@@ -692,7 +802,7 @@ impl Vault {
                 }
                 SlotState::Healthy {
                     generation: (header.object_len as usize, header.object_digest),
-                    bytes: payload,
+                    bytes: shard.payload,
                 }
             }
         }
@@ -725,10 +835,11 @@ impl Vault {
                         unrecoverable: None,
                     });
                 };
-                let (kind, _, payload) = split_decoded_envelope(envelope);
+                let parsed =
+                    parse_envelope(envelope).expect("a healthy replica slot holds an envelope");
                 Ok(Recovered {
-                    kind,
-                    payload,
+                    kind: parsed.kind,
+                    payload: parsed.payload,
                     envelope: envelope.clone(),
                     rebuilt: false,
                 })
@@ -764,16 +875,32 @@ impl Vault {
                     ec.decode(&slots, object_len)
                         .map_err(|e| damaged(e.to_string()))?,
                 );
-                if fnv64(&envelope) != object_digest {
+                // The object digest covers the envelope header and then
+                // its payload, the envelope digest the kind byte and
+                // then the same payload: one two-lane pass computes
+                // both. An envelope whose header does not parse gets the
+                // object digest alone, which is checked first either way.
+                let parsed = parse_envelope(&envelope);
+                let (object, envelope_digest) = match &parsed {
+                    Ok(parsed) => {
+                        let object_head = fnv64_fold(FNV_BASIS, &envelope[..ENVELOPE_OVERHEAD]);
+                        let mut lanes = [(object_head, &parsed.payload[..]), parsed.digest_lane()];
+                        fnv64_fold_many(&mut lanes);
+                        (lanes[0].0, lanes[1].0)
+                    }
+                    Err(_) => (fnv64(&envelope), 0),
+                };
+                if object != object_digest {
                     return Err(damaged("reconstructed object digest mismatch".to_string()));
                 }
-                let (kind, payload) = decode_envelope(&envelope)
+                let parsed = parsed
+                    .and_then(|parsed| parsed.check(envelope_digest).map(|()| parsed))
                     .map_err(|e| damaged(format!("reconstructed object: {e}")))?;
-                self.deep_verify(kind, &payload)
+                self.deep_verify(parsed.kind, &parsed.payload)
                     .map_err(|reason| damaged(format!("deep verification: {reason}")))?;
                 Ok(Recovered {
-                    kind,
-                    payload,
+                    kind: parsed.kind,
+                    payload: parsed.payload,
                     envelope,
                     rebuilt: true,
                 })
@@ -789,9 +916,10 @@ impl Vault {
         }
     }
 
-    /// Classify every slot of `key`'s stripe, slot order.
+    /// Read every slot of `key`'s stripe, then classify them, slot order.
     fn classify_stripe(&self, key: &str) -> Vec<SlotState> {
-        (0..self.width).map(|i| self.classify_slot(key, i)).collect()
+        let reads = (0..self.width).map(|i| self.read_slot(key, i)).collect();
+        self.classify_reads(reads)
     }
 
     /// Checksum-verified read: classify every slot, vote, and recover
@@ -976,13 +1104,14 @@ impl Vault {
     }
 
     /// Like [`scrub_object`](Vault::scrub_object), but cooperatively
-    /// abandonable: `keep_going` is consulted before every slot
-    /// classification (each one reads, and may deep-verify, a full copy
-    /// or shard) and once more before any repair writes start. When it
-    /// turns false the scrub returns `Ok(None)` having mutated nothing —
-    /// the caller retries the whole object on a later tick. This bounds
-    /// how long a background scrubber can monopolize the store to one
-    /// classification instead of a full sweep.
+    /// abandonable: `keep_going` is consulted before every slot read
+    /// (each one reads a full copy or shard) and once more before the
+    /// slots are classified and any repair writes start. When it turns
+    /// false the scrub returns `Ok(None)` having mutated nothing — the
+    /// caller retries the whole object on a later tick. This bounds how
+    /// long a background scrubber can monopolize the store to one slot
+    /// read, or to one object's classification and repair, instead of a
+    /// full sweep.
     pub fn scrub_object_while(
         &self,
         key: &str,
@@ -1003,9 +1132,9 @@ impl Vault {
             "verify-object"
         });
         span.field("replicas", self.backends.len());
-        // One check before every slot, and one more between the last
-        // classification and the repairs it would start.
-        let mut states = Vec::with_capacity(self.width);
+        // One check before every slot read, and one more between the
+        // last read and the classification and repairs that follow.
+        let mut reads = Vec::with_capacity(self.width);
         for i in 0..=self.width {
             if !keep_going() {
                 span.field("abandoned", 1usize);
@@ -1013,9 +1142,10 @@ impl Vault {
                 return Ok(None);
             }
             if i < self.width {
-                states.push(self.classify_slot(key, i));
+                reads.push(self.read_slot(key, i));
             }
         }
+        let states = self.classify_reads(reads);
         let mut report = ScrubReport {
             objects: 1,
             replicas: self.backends.len(),
@@ -1128,6 +1258,28 @@ mod tests {
         assert_eq!(kind, ObjectKind::Opaque);
         assert_eq!(got, payload);
         assert!(matches!(vault.get("nope"), Err(VaultError::NotFound(_))));
+    }
+
+    #[test]
+    fn payloads_past_the_u32_length_fields_are_refused() {
+        // The envelope is ENVELOPE_OVERHEAD bytes longer than its payload
+        // and its length must fit the u32 shard `object_len` field.
+        assert_eq!(MAX_PAYLOAD_LEN + ENVELOPE_OVERHEAD, u32::MAX as usize);
+        assert_eq!(check_payload_len("big", MAX_PAYLOAD_LEN), Ok(()));
+        assert_eq!(
+            check_payload_len("big", MAX_PAYLOAD_LEN + 1),
+            Err(VaultError::TooLarge {
+                key: "big".to_string(),
+                len: MAX_PAYLOAD_LEN + 1,
+                limit: MAX_PAYLOAD_LEN,
+            })
+        );
+        assert_eq!(
+            check_payload_len("big", MAX_PAYLOAD_LEN + 1)
+                .unwrap_err()
+                .to_string(),
+            "'big' is too large to store: 4294967277 payload bytes exceed the 4294967276-byte limit"
+        );
     }
 
     #[test]
@@ -1543,6 +1695,102 @@ mod tests {
         assert_eq!(backends[2].get("obj").unwrap(), pristine);
         let (_, got) = vault.get("obj").unwrap();
         assert_eq!(got, payload);
+    }
+
+    /// Each slot of `key`'s stripe as text: `healthy`, `missing`, or the
+    /// reason it classified corrupt.
+    fn slot_reasons(vault: &Vault, key: &str) -> Vec<String> {
+        vault
+            .classify_stripe(key)
+            .into_iter()
+            .map(|s| match s {
+                SlotState::Healthy { .. } => "healthy".to_string(),
+                SlotState::Corrupt(reason) => reason,
+                SlotState::Missing => "missing".to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn damaged_shard_reasons_are_pinned() {
+        use crate::shard::{decode_shard, encode_shard};
+        let (dyns, backends) = pool(6);
+        let vault = Vault::builder()
+            .policy(RetryPolicy::none())
+            .backends(dyns)
+            .redundancy(Redundancy::Erasure { k: 4, m: 2 })
+            .placement(PlacementPolicy::Identity)
+            .build()
+            .unwrap();
+        let payload = Bytes::from((0..5000u32).map(|i| (i * 13) as u8).collect::<Vec<u8>>());
+        vault.put("obj", ObjectKind::Opaque, &payload).unwrap();
+        // Slot 0: payload byte flipped under a stale digest.
+        let mut rotten = backends[0].get("obj").unwrap().to_vec();
+        let last = rotten.len() - 1;
+        rotten[last] ^= 0x01;
+        backends[0].put("obj", &Bytes::from(rotten)).unwrap();
+        // Slot 1: index forged under a recomputed digest.
+        let (mut header, shard_payload) = decode_shard(&backends[1].get("obj").unwrap()).unwrap();
+        header.index = 2;
+        backends[1]
+            .put("obj", &encode_shard(&header, &shard_payload))
+            .unwrap();
+        // Slot 2: truncated by one byte.
+        let raw = backends[2].get("obj").unwrap();
+        backends[2].put("obj", &raw.slice(..raw.len() - 1)).unwrap();
+        // Slot 5: gone.
+        backends[5].delete("obj").unwrap();
+
+        assert_eq!(
+            slot_reasons(&vault, "obj"),
+            [
+                "shard digest mismatch: stored 0x548d7a1759fc6c95, computed 0x548d791759fc6ae2",
+                "shard geometry mismatch: header claims shard 2 of 4+2, slot expects 1 of 4+2",
+                "shard length mismatch: header says 1255, got 1254",
+                "healthy",
+                "healthy",
+                "missing",
+            ]
+        );
+    }
+
+    #[test]
+    fn damaged_replica_reasons_are_pinned() {
+        let (dyns, backends) = pool(4);
+        let vault = Vault::builder()
+            .policy(RetryPolicy::none())
+            .backends(dyns)
+            .placement(PlacementPolicy::Identity)
+            .build()
+            .unwrap();
+        let sealed = codec::seal(&Bytes::from_static(b"tier payload"));
+        vault.put("obj", ObjectKind::SealedTier, &sealed).unwrap();
+        let pristine = backends[0].get("obj").unwrap();
+        // Slot 0: payload byte flipped under a stale digest.
+        let mut rotten = pristine.to_vec();
+        rotten[pristine.len() - 1] ^= 0x01;
+        backends[0].put("obj", &Bytes::from(rotten)).unwrap();
+        // Slot 1: truncated by one byte.
+        backends[1]
+            .put("obj", &pristine.slice(..pristine.len() - 1))
+            .unwrap();
+        // Slot 2: an honest envelope around a payload that is no seal.
+        backends[2]
+            .put(
+                "obj",
+                &encode_envelope(ObjectKind::SealedTier, &Bytes::from_static(b"no seal")),
+            )
+            .unwrap();
+
+        assert_eq!(
+            slot_reasons(&vault, "obj"),
+            [
+                "digest mismatch: stored 0x8b2e6a68237c5070, computed 0x8b2e6b68237c5223",
+                "payload length mismatch: header says 24, got 23",
+                "seal verification failed: unexpected end of buffer",
+                "healthy",
+            ]
+        );
     }
 
     #[test]
