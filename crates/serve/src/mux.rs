@@ -9,6 +9,13 @@
 //! buffer. This is what lets a 4-thread pool hold hundreds of analyst
 //! connections where the old thread-per-connection front-end pinned one
 //! OS thread each.
+//!
+//! A frame is split off the buffer without copying its body: once the
+//! length prefix has arrived the buffer reserves exactly the declared
+//! frame, and a complete frame leaves as a [`Bytes`] that takes the
+//! buffer's allocation over; only bytes read past it (a pipelined next
+//! frame) are copied into a fresh buffer. The reservation is bounded by
+//! the frame cap and is only address space until bytes arrive.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -56,6 +63,7 @@ impl Conn {
                 Ok(0) => return (progress, true),
                 Ok(n) => {
                     self.buf.extend_from_slice(&scratch[..n]);
+                    self.reserve_frame();
                     progress = true;
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -66,16 +74,32 @@ impl Conn {
         (progress, false)
     }
 
+    /// Once the buffer holds a length prefix within the frame cap, make
+    /// room for exactly the frame it declares, so the buffer never grows
+    /// past it by doubling.
+    fn reserve_frame(&mut self) {
+        if let Some(declared) = self.declared() {
+            let frame = 4 + declared;
+            if declared <= MAX_FRAME_BYTES && self.buf.capacity() < frame {
+                self.buf.reserve_exact(frame - self.buf.len());
+            }
+        }
+    }
+
+    /// The body length the buffered length prefix declares.
+    fn declared(&self) -> Option<usize> {
+        let prefix = self.buf.get(..4)?;
+        Some(u32::from_le_bytes(prefix.try_into().expect("4-byte prefix")) as usize)
+    }
+
     /// Pop the next complete sealed frame body, if one is fully
     /// buffered. A hostile length prefix (over the frame cap) is a
     /// protocol error — the caller answers once and hangs up, exactly
     /// like the blocking reader did.
     pub(crate) fn next_frame(&mut self) -> Result<Option<Bytes>, ProtoError> {
-        if self.buf.len() < 4 {
+        let Some(declared) = self.declared() else {
             return Ok(None);
-        }
-        let declared =
-            u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        };
         if declared > MAX_FRAME_BYTES {
             return Err(ProtoError::Oversized {
                 declared,
@@ -85,9 +109,13 @@ impl Conn {
         if self.buf.len() < 4 + declared {
             return Ok(None);
         }
-        let sealed = Bytes::copy_from_slice(&self.buf[4..4 + declared]);
-        self.buf.drain(..4 + declared);
-        Ok(Some(sealed))
+        // The frame takes the buffer's allocation over; only the
+        // lookahead behind it moves to a new buffer.
+        let lookahead = self.buf[4 + declared..].to_vec();
+        let mut frame = std::mem::replace(&mut self.buf, lookahead);
+        frame.truncate(4 + declared);
+        self.reserve_frame();
+        Ok(Some(Bytes::from(frame).slice(4..)))
     }
 
     /// Write one whole response frame, riding out `WouldBlock` with
@@ -168,6 +196,70 @@ mod tests {
                 assert_eq!(got.unwrap().as_slice(), body);
             }
         }
+    }
+
+    /// A connected peer socket and the server side's `Conn`.
+    fn connected() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (peer, Conn::new(accepted).unwrap())
+    }
+
+    /// Fill `conn` until it buffers `len` bytes (or five seconds pass).
+    fn fill_to(conn: &mut Conn, len: usize) {
+        let mut scratch = vec![0u8; 4096];
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while conn.buf.len() < len && std::time::Instant::now() < deadline {
+            conn.fill(&mut scratch);
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+
+    #[test]
+    fn frames_leave_without_copying_and_lookahead_survives() {
+        let (mut peer, mut conn) = connected();
+        let bodies: [&[u8]; 3] = [&[7u8; 10_000], b"second", b"third frame"];
+        let mut wire = Vec::new();
+        for body in bodies {
+            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            wire.extend_from_slice(body);
+        }
+        peer.write_all(&wire).unwrap();
+        peer.flush().unwrap();
+        fill_to(&mut conn, wire.len());
+        assert_eq!(conn.buf.len(), wire.len(), "all three frames buffered");
+
+        let first_at = conn.buf.as_ptr();
+        let first = conn.next_frame().unwrap().unwrap();
+        assert_eq!(first.as_slice(), bodies[0]);
+        assert_eq!(
+            first.as_ptr(),
+            first_at.wrapping_add(4),
+            "the body was not copied"
+        );
+        for body in &bodies[1..] {
+            assert_eq!(conn.next_frame().unwrap().unwrap().as_slice(), *body);
+        }
+        assert!(conn.next_frame().unwrap().is_none());
+        assert!(conn.buf.is_empty());
+    }
+
+    #[test]
+    fn a_length_prefix_reserves_exactly_its_frame() {
+        let (mut peer, mut conn) = connected();
+        let declared = 100_000usize;
+        peer.write_all(&(declared as u32).to_le_bytes()).unwrap();
+        peer.write_all(&[1u8; 10]).unwrap();
+        peer.flush().unwrap();
+        fill_to(&mut conn, 14);
+        // `reserve_exact` may round up, but never toward a doubling.
+        let capacity = conn.buf.capacity();
+        assert!(
+            (4 + declared..4 + declared + 4096).contains(&capacity),
+            "{capacity}"
+        );
+        assert!(conn.next_frame().unwrap().is_none());
     }
 
     #[test]

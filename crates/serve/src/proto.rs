@@ -22,15 +22,28 @@
 //! immediately, it does not allocate), frames are capped at
 //! [`MAX_FRAME_BYTES`], and trailing garbage after a well-formed body is
 //! an error. Because the body is sealed, any single-byte change to a
-//! frame in flight surfaces as [`ProtoError::Seal`] before the body is
-//! even parsed — the "detected or harmless" guarantee the `serve-frame`
-//! faultlab class asserts.
+//! frame in flight surfaces as [`ProtoError::Seal`] — the "detected or
+//! harmless" guarantee the `serve-frame` faultlab class asserts.
+//!
+//! **One digest pass per payload.** A frame's seal covers its payload,
+//! and so do the digests the vault keeps of the same bytes. So the
+//! server checks a request seal and computes the vault envelope digest
+//! of the payload it stores in one multi-lane pass
+//! ([`decode_request_folding`]), and seals a response whose payload
+//! came out of the vault in the sweep that verified it
+//! ([`ResponseHead`]). The body is parsed before its seal is checked,
+//! because the parse finds where the payload starts; nothing in it is
+//! acted on until the seal verified, and a body that fails to parse
+//! reports a seal failure first, exactly like an unseal-then-parse
+//! decode would.
 
 use std::fmt;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use daspos_tiers::codec::{self, fnv64_fold, fnv64_fold_many, CodecError, FNV_BASIS};
-use daspos_vault::{validate_key, ObjectKind};
+use daspos_vault::{validate_key, ObjectKind, PreparedEnvelope};
+
+use crate::stream::{CHUNK_KIND, CHUNK_SEQ_BYTES};
 
 /// Magic of a request body: "DASPOS Preservation ReQuest".
 pub const REQUEST_MAGIC: &[u8; 4] = b"DPRQ";
@@ -443,31 +456,117 @@ pub fn encode_request_folding(req: &Request, tail: usize, fold: u64) -> (Bytes, 
 /// Serialize and seal a response into one wire frame (length prefix
 /// included).
 pub fn encode_response(resp: &Response) -> Bytes {
-    let mut frame =
-        BytesMut::with_capacity(FRAME_HEAD + 16 + resp.detail.len() + resp.payload.len());
+    let mut frame = response_frame_head(
+        resp.op,
+        resp.status,
+        &resp.detail,
+        resp.payload.len(),
+        resp.payload.len(),
+    );
+    frame.put_slice(&resp.payload);
+    seal_frame(frame, 0, FNV_BASIS).0
+}
+
+/// A new response frame holding [`FRAME_HEAD`] placeholder bytes and
+/// the body up to its payload, with room for `room` more bytes.
+fn response_frame_head(
+    op: Op,
+    status: Status,
+    detail: &str,
+    payload_len: usize,
+    room: usize,
+) -> BytesMut {
+    let mut frame = BytesMut::with_capacity(FRAME_HEAD + 16 + detail.len() + room);
     frame.put_slice(&[0; FRAME_HEAD]);
     frame.put_slice(RESPONSE_MAGIC);
     frame.put_u16_le(PROTOCOL_VERSION);
-    frame.put_u8(resp.op.as_u8());
-    frame.put_u8(resp.status.as_u8());
-    frame.put_u16_le(resp.detail.len() as u16);
-    frame.put_slice(resp.detail.as_bytes());
-    frame.put_u32_le(resp.payload.len() as u32);
-    frame.put_slice(&resp.payload);
-    seal_frame(frame, 0, FNV_BASIS).0
+    frame.put_u8(op.as_u8());
+    frame.put_u8(status.as_u8());
+    frame.put_u16_le(detail.len() as u16);
+    frame.put_slice(detail.as_bytes());
+    frame.put_u32_le(payload_len as u32);
+    frame
+}
+
+/// A response whose payload ends in a *tail* the server reads from the
+/// vault: the part of the frame known before the read. Its seal starts
+/// from [`seal_start`](ResponseHead::seal_start), the caller folds the
+/// tail on from there inside the sweep that verifies the read
+/// ([`Vault::get_folding`](daspos_vault::Vault::get_folding)), and
+/// [`seal`](ResponseHead::seal) assembles the frame with that seal —
+/// byte-identical to [`encode_response`] of the same response.
+#[derive(Debug, Clone)]
+pub struct ResponseHead {
+    op: Op,
+    status: Status,
+    detail: String,
+    /// Payload bytes in front of the tail (a `GetChunk`'s sequence
+    /// number).
+    lead: Vec<u8>,
+}
+
+impl ResponseHead {
+    /// The head of a response whose payload is `lead` followed by a tail.
+    pub fn new(op: Op, status: Status, detail: impl Into<String>, lead: &[u8]) -> ResponseHead {
+        ResponseHead {
+            op,
+            status,
+            detail: detail.into(),
+            lead: lead.to_vec(),
+        }
+    }
+
+    /// The frame up to the tail, with room for it.
+    fn frame_head(&self, tail_len: usize) -> BytesMut {
+        let payload_len = self.lead.len() + tail_len;
+        let mut frame =
+            response_frame_head(self.op, self.status, &self.detail, payload_len, payload_len);
+        frame.put_slice(&self.lead);
+        frame
+    }
+
+    /// The seal's fold over every body byte in front of a `tail_len`-byte
+    /// tail: the state the tail's fold starts from.
+    pub fn seal_start(&self, tail_len: usize) -> u64 {
+        fnv64_fold(FNV_BASIS, &self.frame_head(tail_len)[FRAME_HEAD..])
+    }
+
+    /// Assemble the frame around `tail`, given its `seal`: the fold of
+    /// `tail` from [`seal_start`](ResponseHead::seal_start)`(tail.len())`.
+    /// Returns the response (its payload a window of the frame) and the
+    /// frame.
+    pub fn seal(self, tail: &[u8], seal: u64) -> (Response, Bytes) {
+        let mut frame = self.frame_head(tail.len());
+        frame.put_slice(tail);
+        let payload_at = frame.len() - tail.len() - self.lead.len();
+        let frame = write_seal(frame, seal);
+        let response = Response {
+            op: self.op,
+            status: self.status,
+            detail: self.detail,
+            payload: frame.slice(payload_at..),
+        };
+        (response, frame)
+    }
 }
 
 /// Fill in the length prefix and DPSL seal of a frame whose body follows
 /// [`FRAME_HEAD`] placeholder bytes. The body's last `tail` bytes are
 /// also folded into `fold` in the same two-lane digest pass; returns the
 /// frame and the advanced fold.
-fn seal_frame(mut frame: BytesMut, tail: usize, fold: u64) -> (Bytes, u64) {
+fn seal_frame(frame: BytesMut, tail: usize, fold: u64) -> (Bytes, u64) {
     let (seal, fold) = seal_digest_folding(&frame[FRAME_HEAD..], tail, fold);
+    (write_seal(frame, seal), fold)
+}
+
+/// Write the length prefix, the seal magic and `seal` into a frame's
+/// [`FRAME_HEAD`] bytes.
+fn write_seal(mut frame: BytesMut, seal: u64) -> Bytes {
     let sealed_len = (frame.len() - 4) as u32;
     frame[..4].copy_from_slice(&sealed_len.to_le_bytes());
     frame[4..8].copy_from_slice(codec::SEAL_MAGIC);
     frame[8..FRAME_HEAD].copy_from_slice(&seal.to_le_bytes());
-    (frame.freeze(), fold)
+    frame.freeze()
 }
 
 /// The seal digest of `body`, and `fold` advanced over the body's last
@@ -491,13 +590,6 @@ fn check_frame_cap(sealed: &Bytes) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// Unseal a frame body (the bytes *after* the length prefix) and hand
-/// back the plain body for parsing.
-fn unseal_body(sealed: &Bytes) -> Result<Bytes, ProtoError> {
-    check_frame_cap(sealed)?;
-    codec::unseal(sealed).map_err(ProtoError::Seal)
-}
-
 fn decode_prologue(
     body: &mut Bytes,
     magic: &[u8; 4],
@@ -517,7 +609,85 @@ fn decode_prologue(
 /// Parse a sealed request frame body. Validates the seal, the structure,
 /// the tenant/key alphabets, and that nothing trails the body.
 pub fn decode_request(sealed: &Bytes) -> Result<Request, ProtoError> {
-    let mut body = unseal_body(sealed)?;
+    decode_request_folding(sealed).map(|decoded| decoded.request)
+}
+
+/// A request, and the vault envelope of the bytes it asks the server to
+/// store, digested in the pass that checked the frame seal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecodedRequest {
+    /// The request.
+    pub request: Request,
+    /// The stored bytes of a `Put` (its payload, under the request's
+    /// kind) or a `PutChunk` (the chunk data after the sequence number,
+    /// as a [`CHUNK_KIND`] object). `None` for every other op, and for a
+    /// `PutChunk` payload too short to hold a sequence number.
+    pub envelope: Option<PreparedEnvelope>,
+}
+
+/// The bytes of `req` the vault stores as one object, and their kind —
+/// always the payload's tail, so the body's tail too.
+fn stored_part(req: &Request) -> Option<(ObjectKind, Bytes)> {
+    match req.op {
+        Op::Put => Some((req.kind, req.payload.clone())),
+        Op::PutChunk if req.payload.len() >= CHUNK_SEQ_BYTES => {
+            Some((CHUNK_KIND, req.payload.slice(CHUNK_SEQ_BYTES..)))
+        }
+        _ => None,
+    }
+}
+
+/// [`decode_request`] that also prepares the vault envelope of the bytes
+/// a `Put` or `PutChunk` stores: the seal and the envelope digest are
+/// computed in one two-lane pass over those bytes. The result equals
+/// [`decode_request`]'s, errors and their precedence included: a body
+/// that fails to parse has its seal checked on its own first, so a
+/// damaged frame reports as a seal failure.
+pub fn decode_request_folding(sealed: &Bytes) -> Result<DecodedRequest, ProtoError> {
+    let (stored, body, request) = parse_sealed(sealed, parse_request)?;
+    let (actual, envelope) = match stored_part(&request) {
+        Some((kind, part)) => {
+            let head = fnv64_fold(FNV_BASIS, &body[..body.len() - part.len()]);
+            let mut seal = [(head, &part[..])];
+            let envelope = PreparedEnvelope::folding(kind, part.clone(), &mut seal);
+            (seal[0].0, Some(envelope))
+        }
+        None => (fnv64_fold(FNV_BASIS, &body), None),
+    };
+    check_seal(stored, actual)?;
+    Ok(DecodedRequest { request, envelope })
+}
+
+/// Split a sealed frame body and parse it before its seal is checked.
+/// Returns the stored seal, the body and the parsed value. A body that
+/// fails to parse has its seal checked on its own first, so a damaged
+/// frame reports as a seal failure, as an unseal-then-parse decode does.
+fn parse_sealed<T>(
+    sealed: &Bytes,
+    parse: impl FnOnce(Bytes) -> Result<T, ProtoError>,
+) -> Result<(u64, Bytes, T), ProtoError> {
+    check_frame_cap(sealed)?;
+    let (stored, body) = codec::split_seal(sealed).map_err(ProtoError::Seal)?;
+    match parse(body.clone()) {
+        Ok(parsed) => Ok((stored, body, parsed)),
+        Err(e) => {
+            check_seal(stored, fnv64_fold(FNV_BASIS, &body))?;
+            Err(e)
+        }
+    }
+}
+
+/// Compare a recomputed seal digest with the stored one.
+fn check_seal(stored: u64, actual: u64) -> Result<(), ProtoError> {
+    if actual == stored {
+        Ok(())
+    } else {
+        Err(ProtoError::Seal(CodecError::SealMismatch { stored, actual }))
+    }
+}
+
+/// Parse an unsealed request body.
+fn parse_request(mut body: Bytes) -> Result<Request, ProtoError> {
     let (op_byte, kind_byte) = decode_prologue(&mut body, REQUEST_MAGIC)?;
     let op = Op::from_u8(op_byte).ok_or(ProtoError::UnknownOp(op_byte))?;
     let kind = ObjectKind::from_u8(kind_byte).ok_or(ProtoError::UnknownKind(kind_byte))?;
@@ -557,37 +727,21 @@ pub fn decode_response(sealed: &Bytes) -> Result<Response, ProtoError> {
 /// digest pass that checks the seal (a `skip` at or past the payload's
 /// end folds nothing). Returns the response and the advanced state.
 ///
-/// The body is parsed before its seal is checked, because the parse
-/// finds where the payload starts; every declared length is still
-/// checked against the bytes present. A body that fails to parse has
-/// its seal checked on its own first, so a damaged frame reports as a
-/// seal failure exactly as [`decode_request`] reports it.
+/// Like [`decode_request_folding`], the body is parsed before its seal
+/// is checked; every declared length is still checked against the bytes
+/// present, and a body that fails to parse has its seal checked on its
+/// own first, so a damaged frame reports as a seal failure.
 pub fn decode_response_folding(
     sealed: &Bytes,
     skip: usize,
     fold: u64,
 ) -> Result<(Response, u64), ProtoError> {
-    check_frame_cap(sealed)?;
-    let (stored, body) = codec::split_seal(sealed).map_err(ProtoError::Seal)?;
-    let seal_error = |actual| ProtoError::Seal(CodecError::SealMismatch { stored, actual });
-    let resp = match parse_response(body.clone()) {
-        Ok(resp) => resp,
-        Err(e) => {
-            let actual = fnv64_fold(FNV_BASIS, &body);
-            return Err(if actual != stored {
-                seal_error(actual)
-            } else {
-                e
-            });
-        }
-    };
+    let (stored, body, resp) = parse_sealed(sealed, parse_response)?;
     // The payload is the body's last field, so its folded part is the
     // body's tail.
     let tail = resp.payload.len().saturating_sub(skip);
     let (actual, fold) = seal_digest_folding(&body, tail, fold);
-    if actual != stored {
-        return Err(seal_error(actual));
-    }
+    check_seal(stored, actual)?;
     Ok((resp, fold))
 }
 
@@ -805,6 +959,110 @@ mod tests {
             decode_request(&resealed),
             Err(ProtoError::UnknownOp(0xEE))
         );
+    }
+
+    /// The unfused decode: unseal, then parse.
+    fn unseal_then_parse(sealed: &Bytes) -> Result<Request, ProtoError> {
+        check_frame_cap(sealed)?;
+        parse_request(codec::unseal(sealed).map_err(ProtoError::Seal)?)
+    }
+
+    /// The part of a request the vault stores, cut by hand.
+    fn expected_envelope(req: &Request) -> Option<(ObjectKind, u64, Bytes)> {
+        let (kind, part) = match req.op {
+            Op::Put => (req.kind, req.payload.clone()),
+            Op::PutChunk if req.payload.len() >= 4 => (ObjectKind::Opaque, req.payload.slice(4..)),
+            _ => return None,
+        };
+        Some((kind, daspos_vault::envelope_digest(kind, &part), part))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+        // Property: on intact, truncated, bit-flipped and honestly
+        // resealed damaged frames, the fused decode returns exactly what
+        // unseal-then-parse returns — the same request or the same error
+        // text — and for a PUT or PUT-chunk the envelope digest of the
+        // bytes it stores.
+        #[test]
+        fn folding_decode_equals_unseal_then_parse(
+            op in 0usize..12,
+            kind in 0u8..6,
+            names_at in 0usize..4,
+            payload in proptest::prop::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+            damage in 0usize..4,
+            at in proptest::prelude::any::<u64>(),
+            bit in 0u32..8,
+        ) {
+            let names = [("cms", "aod.dpef"), ("cms", "7"), ("CMS", "k"), ("lhcb", "a..b")];
+            let (tenant, key) = names[names_at];
+            let req = Request {
+                op: Op::ALL[op],
+                kind: ObjectKind::from_u8(kind).unwrap(),
+                tenant: tenant.to_string(),
+                key: key.to_string(),
+                payload: Bytes::from(payload),
+            };
+            let (sealed, _) = split_frame(&encode_request(&req)).unwrap();
+            let at = (at % sealed.len() as u64) as usize;
+            let mut bytes = sealed.to_vec();
+            let sealed = match damage {
+                0 => sealed,
+                1 => sealed.slice(..at),
+                2 => {
+                    bytes[at] ^= 1 << bit;
+                    Bytes::from(bytes)
+                }
+                _ => {
+                    // Damage the body past the seal, then seal it honestly:
+                    // only the parser can object.
+                    let body_at = codec::SEAL_OVERHEAD + at % (bytes.len() - codec::SEAL_OVERHEAD);
+                    bytes[body_at] ^= 1 << bit;
+                    codec::seal(&Bytes::copy_from_slice(&bytes[codec::SEAL_OVERHEAD..]))
+                }
+            };
+            let expected = unseal_then_parse(&sealed);
+            let fused = decode_request_folding(&sealed);
+            proptest::prop_assert_eq!(decode_request(&sealed), expected.clone());
+            match (&fused, &expected) {
+                (Ok(decoded), Ok(request)) => {
+                    proptest::prop_assert_eq!(&decoded.request, request);
+                    let envelope = decoded
+                        .envelope
+                        .as_ref()
+                        .map(|e| (e.kind(), e.digest(), e.payload().clone()));
+                    proptest::prop_assert_eq!(envelope, expected_envelope(request));
+                }
+                (Err(got), Err(want)) => {
+                    proptest::prop_assert_eq!(got, want);
+                    proptest::prop_assert_eq!(got.to_string(), want.to_string());
+                }
+                _ => proptest::prop_assert!(false, "fused {fused:?} vs unfused {expected:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn response_heads_seal_byte_identically_to_encode_response() {
+        for (lead, tail) in [
+            (&b""[..], &b""[..]),
+            (b"\x05\x00\x00\x00", b"chunk bytes"),
+            (b"", b"x"),
+        ] {
+            let head = ResponseHead::new(Op::GetChunk, Status::Ok, "sealed-tier", lead);
+            let seal = fnv64_fold(head.seal_start(tail.len()), tail);
+            let (response, frame) = head.seal(tail, seal);
+            let mut payload = lead.to_vec();
+            payload.extend_from_slice(tail);
+            let expected = Response {
+                op: Op::GetChunk,
+                status: Status::Ok,
+                detail: "sealed-tier".to_string(),
+                payload: Bytes::from(payload),
+            };
+            assert_eq!(response, expected);
+            assert_eq!(frame, encode_response(&expected));
+        }
     }
 
     #[test]

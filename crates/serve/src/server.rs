@@ -28,6 +28,17 @@
 //! and the commit-time digest re-verification that bounds server memory
 //! to O(chunk) regardless of object size.
 //!
+//! The server digests each payload once, inside the vault's own sweep
+//! over it: a PUT frame's seal is checked in the pass that computes the
+//! stored envelope digest, a commit's whole-object fold rides each chunk
+//! read, and a GET response is sealed in the read that verified its
+//! payload (see [`crate::proto`]). A request's seal is verified before
+//! any of its fields is acted on.
+//!
+//! A service over a vault that already holds objects rebuilds its
+//! per-tenant byte ledger from them and sweeps staging generations no
+//! committed stream names, so a restart forgets no quota.
+//!
 //! Graceful shutdown: the `Shutdown` op (or [`Service::request_shutdown`])
 //! flips the flag; the accept loop stops taking connections, every
 //! worker answers the frames already buffered on the connections it
@@ -44,16 +55,16 @@ use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use daspos_obs::Obs;
-use daspos_vault::{ObjectKind, Vault, VaultError};
+use daspos_vault::{ObjectKind, PreparedEnvelope, Vault, VaultError};
 
 use crate::mux::Conn;
 use crate::proto::{
-    decode_request, encode_response, storage_key, validate_tenant, Op, ProtoError, Request,
-    Response, Status, DEFAULT_CHUNK_BYTES,
+    decode_request_folding, encode_response, storage_key, validate_tenant, Op, ProtoError,
+    Request, Response, ResponseHead, Status, DEFAULT_CHUNK_BYTES,
 };
 use crate::stream::{
-    self, chunk_key, chunk_prefix, decode_manifest, encode_manifest, fnv64_fold, Manifest,
-    StreamInfo, FNV_BASIS,
+    self, chunk_key, chunk_prefix, decode_manifest, encode_manifest, fnv64_fold, parse_chunk_key,
+    Manifest, StreamInfo, CHUNK_KIND, FNV_BASIS,
 };
 use crate::wire::WireError;
 
@@ -480,6 +491,46 @@ impl Ledger {
     }
 }
 
+/// An op's answer: a response still to be sealed, or one whose frame
+/// was sealed in the vault sweep that verified its payload.
+enum Reply {
+    Plain(Response),
+    Sealed { response: Response, frame: Bytes },
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply::Plain(response)
+    }
+}
+
+impl From<(Response, Bytes)> for Reply {
+    fn from((response, frame): (Response, Bytes)) -> Reply {
+        Reply::Sealed { response, frame }
+    }
+}
+
+impl Reply {
+    fn response(&self) -> &Response {
+        match self {
+            Reply::Plain(response) | Reply::Sealed { response, .. } => response,
+        }
+    }
+
+    fn into_response(self) -> Response {
+        match self {
+            Reply::Plain(response) | Reply::Sealed { response, .. } => response,
+        }
+    }
+
+    fn into_frame(self) -> Bytes {
+        match self {
+            Reply::Plain(response) => encode_response(&response),
+            Reply::Sealed { frame, .. } => frame,
+        }
+    }
+}
+
 /// The transport-free service core: vault + admission gates + stream
 /// table + handlers.
 pub struct Service {
@@ -522,8 +573,12 @@ impl Drop for TenantSlot<'_> {
 impl Service {
     /// Wrap a vault in a service. The vault's own `Obs` keeps working;
     /// `obs` here carries the serve-layer spans and counters.
+    ///
+    /// A vault that already holds objects — a restart over the same
+    /// store — has the tenants' stored bytes charged to the quota ledger
+    /// and its orphaned staging generations swept first.
     pub fn new(vault: Vault, cfg: &ServeConfig, obs: Obs) -> Service {
-        Service {
+        let service = Service {
             vault,
             obs,
             config: cfg.clone(),
@@ -534,6 +589,71 @@ impl Service {
             next_stream: AtomicU64::new(1),
             streams: Mutex::new(HashMap::new()),
             ledger: Mutex::new(Ledger::default()),
+        };
+        service.recover();
+        service
+    }
+
+    /// Rebuild the state a restart would otherwise forget from the vault.
+    ///
+    /// - Every tenant object under a byte quota is read back and charged
+    ///   at its logical size: a plain object its payload length, a
+    ///   stream manifest its `total_len`. Without this, a capped tenant
+    ///   could pass its `max_bytes` by waiting for a restart. Objects
+    ///   that no longer read back are not charged (counted on
+    ///   `serve.recover.unreadable`).
+    /// - Staged chunk records (`..g{gen}` keys) are never charged. Those
+    ///   of a generation no committed manifest names belong to a stream
+    ///   that never committed — no stream survives a restart — and are
+    ///   deleted (`serve.recover.orphans_swept`). Records whose object
+    ///   does not read back are kept for a later commit's sweep.
+    fn recover(&self) {
+        let Ok(keys) = self.vault.keys() else {
+            self.counter("serve.recover.unreadable", 1);
+            return;
+        };
+        let mut staged: BTreeMap<&str, Vec<(&str, u64)>> = BTreeMap::new();
+        let mut objects = Vec::new();
+        for key in &keys {
+            match parse_chunk_key(key) {
+                Some((composed, gen)) => staged.entry(composed).or_default().push((key, gen)),
+                None if !key.contains("..") => objects.push(key.as_str()),
+                None => {}
+            }
+        }
+        for composed in objects {
+            let Some((tenant, _)) = composed.split_once('.') else {
+                continue;
+            };
+            let charged = self.config.quota_for(tenant).max_bytes > 0;
+            if !charged && !staged.contains_key(composed) {
+                continue;
+            }
+            let (len, committed) = match self.vault.get(composed) {
+                Ok((ObjectKind::StreamManifest, payload)) => match decode_manifest(&payload) {
+                    Ok(m) => (m.info.total_len, Some(m.gen)),
+                    Err(_) => (payload.len() as u64, None),
+                },
+                Ok((_, payload)) => (payload.len() as u64, None),
+                Err(_) => {
+                    self.counter("serve.recover.unreadable", 1);
+                    staged.remove(composed);
+                    continue;
+                }
+            };
+            if charged {
+                self.settle_stored(tenant, composed, len);
+            }
+            if let Some(gen) = committed {
+                if let Some(records) = staged.get_mut(composed) {
+                    records.retain(|&(_, g)| g != gen);
+                }
+            }
+        }
+        for (key, _) in staged.into_values().flatten() {
+            if self.vault.delete(key).is_ok() {
+                self.counter("serve.recover.orphans_swept", 1);
+            }
         }
     }
 
@@ -690,11 +810,15 @@ impl Service {
     /// whether the connection should close (protocol errors desync the
     /// stream, so they answer once and hang up). Never panics on
     /// malformed input — that is the `serve-frame` campaign invariant.
+    ///
+    /// The frame seal is checked in the pass that digests a stored
+    /// payload for the vault ([`decode_request_folding`]), and before
+    /// any field of the request is acted on.
     pub fn handle_wire(&self, sealed: &Bytes) -> (Bytes, bool) {
-        match decode_request(sealed) {
-            Ok(req) => {
-                let resp = self.handle(&req);
-                (encode_response(&resp), false)
+        match decode_request_folding(sealed) {
+            Ok(decoded) => {
+                let reply = self.serve(&decoded.request, decoded.envelope);
+                (reply.into_frame(), false)
             }
             Err(e) => {
                 let resp = Response::status_only(
@@ -709,6 +833,13 @@ impl Service {
 
     /// Execute one decoded request under the admission gates.
     pub fn handle(&self, req: &Request) -> Response {
+        self.serve(req, None).into_response()
+    }
+
+    /// [`handle`](Service::handle), given the envelope
+    /// [`decode_request_folding`] prepared for the bytes `req` stores
+    /// (computed here when `None`).
+    fn serve(&self, req: &Request, envelope: Option<PreparedEnvelope>) -> Reply {
         // Shutdown must stay deliverable even at full load, or a
         // saturated server could never be stopped cleanly.
         let _slot = if req.op == Op::Shutdown {
@@ -726,7 +857,8 @@ impl Service {
                             "admission gate full ({} in flight)",
                             self.config.max_inflight()
                         ),
-                    );
+                    )
+                    .into();
                 }
             }
         };
@@ -738,7 +870,7 @@ impl Service {
                 Err(detail) => {
                     self.stats.quota_rejected.fetch_add(1, Ordering::Relaxed);
                     self.counter("serve.quota.rejected", 1);
-                    return Response::status_only(req.op, Status::QuotaExceeded, detail);
+                    return Response::status_only(req.op, Status::QuotaExceeded, detail).into();
                 }
             }
         };
@@ -752,28 +884,28 @@ impl Service {
         if !req.key.is_empty() {
             span.field("key", &req.key);
         }
-        let resp = self.dispatch(req);
-        span.field("status", resp.status.name());
+        let reply = self.dispatch(req, envelope);
+        span.field("status", reply.response().status.name());
         span.finish();
-        resp
+        reply
     }
 
-    fn dispatch(&self, req: &Request) -> Response {
+    fn dispatch(&self, req: &Request, envelope: Option<PreparedEnvelope>) -> Reply {
         match req.op {
-            Op::Put => self.op_put(req),
+            Op::Put => self.op_put(req, envelope).into(),
             Op::Get => self.op_get(req),
-            Op::Verify => self.op_verify(req),
-            Op::Scrub => self.op_scrub(req),
-            Op::Stat => self.op_stat(req),
-            Op::PutBegin => self.op_put_begin(req),
-            Op::PutChunk => self.op_put_chunk(req),
-            Op::PutCommit => self.op_put_commit(req),
-            Op::PutAbort => self.op_put_abort(req),
-            Op::GetBegin => self.op_get_begin(req),
+            Op::Verify => self.op_verify(req).into(),
+            Op::Scrub => self.op_scrub(req).into(),
+            Op::Stat => self.op_stat(req).into(),
+            Op::PutBegin => self.op_put_begin(req).into(),
+            Op::PutChunk => self.op_put_chunk(req, envelope).into(),
+            Op::PutCommit => self.op_put_commit(req).into(),
+            Op::PutAbort => self.op_put_abort(req).into(),
+            Op::GetBegin => self.op_get_begin(req).into(),
             Op::GetChunk => self.op_get_chunk(req),
             Op::Shutdown => {
                 self.request_shutdown();
-                Response::status_only(Op::Shutdown, Status::Ok, "draining")
+                Response::status_only(Op::Shutdown, Status::Ok, "draining").into()
             }
         }
     }
@@ -791,7 +923,7 @@ impl Service {
         Response::status_only(op, Status::BadRequest, detail)
     }
 
-    fn op_put(&self, req: &Request) -> Response {
+    fn op_put(&self, req: &Request, envelope: Option<PreparedEnvelope>) -> Response {
         let skey = match storage_key(&req.tenant, &req.key) {
             Ok(k) => k,
             Err(e) => return Self::bad(Op::Put, e.to_string()),
@@ -802,7 +934,10 @@ impl Service {
             self.counter("serve.quota.rejected", 1);
             return Response::status_only(Op::Put, Status::QuotaExceeded, detail);
         }
-        match self.vault.put(&skey, req.kind, &req.payload) {
+        let envelope =
+            envelope.unwrap_or_else(|| PreparedEnvelope::new(req.kind, req.payload.clone()));
+        debug_assert!(envelope.kind() == req.kind && envelope.payload() == &req.payload);
+        match self.vault.put_prepared(&skey, &envelope) {
             Ok(()) => {
                 self.settle_stored(&req.tenant, &skey, req.payload.len() as u64);
                 Response::status_only(Op::Put, Status::Ok, req.kind.name())
@@ -811,30 +946,36 @@ impl Service {
         }
     }
 
-    fn op_get(&self, req: &Request) -> Response {
+    /// A plain object's response is sealed in the vault sweep that
+    /// verifies it.
+    fn op_get(&self, req: &Request) -> Reply {
         let skey = match storage_key(&req.tenant, &req.key) {
             Ok(k) => k,
-            Err(e) => return Self::bad(Op::Get, e.to_string()),
+            Err(e) => return Self::bad(Op::Get, e.to_string()).into(),
         };
-        match self.vault.get(&skey) {
-            Ok((ObjectKind::StreamManifest, payload)) => self.inline_chunked_get(&skey, &payload),
-            Ok((kind, payload)) => {
-                let payload = match self.config.chaos() {
-                    Some(Chaos::FlipGet) if !payload.is_empty() => {
-                        let mut bad = payload.to_vec();
-                        bad[0] ^= 0x01;
-                        Bytes::from(bad)
-                    }
-                    _ => payload,
-                };
-                Response {
-                    op: Op::Get,
-                    status: Status::Ok,
-                    detail: kind.name().to_string(),
-                    payload,
-                }
+        let head = |kind: ObjectKind| ResponseHead::new(Op::Get, Status::Ok, kind.name(), &[]);
+        match self
+            .vault
+            .get_folding(&skey, &|kind, len| head(kind).seal_start(len))
+        {
+            Ok((ObjectKind::StreamManifest, payload, _)) => {
+                self.inline_chunked_get(&skey, &payload).into()
             }
-            Err(e) => Self::vault_failure(Op::Get, &e),
+            Ok((kind, payload, seal)) => match self.config.chaos() {
+                Some(Chaos::FlipGet) if !payload.is_empty() => {
+                    let mut bad = payload.to_vec();
+                    bad[0] ^= 0x01;
+                    Response {
+                        op: Op::Get,
+                        status: Status::Ok,
+                        detail: kind.name().to_string(),
+                        payload: Bytes::from(bad),
+                    }
+                    .into()
+                }
+                _ => head(kind).seal(&payload, seal).into(),
+            },
+            Err(e) => Self::vault_failure(Op::Get, &e).into(),
         }
     }
 
@@ -946,12 +1087,12 @@ impl Service {
         }
     }
 
-    fn op_put_chunk(&self, req: &Request) -> Response {
+    fn op_put_chunk(&self, req: &Request, envelope: Option<PreparedEnvelope>) -> Response {
         let (id, mut st) = match self.claim_stream(Op::PutChunk, req) {
             Ok(claimed) => claimed,
             Err(resp) => return resp,
         };
-        let resp = self.stage_chunk(&mut st, req);
+        let resp = self.stage_chunk(&mut st, req, envelope);
         // Every outcome leaves the stream open — the client decides
         // whether to abort after an error.
         self.streams
@@ -961,7 +1102,12 @@ impl Service {
         resp
     }
 
-    fn stage_chunk(&self, st: &mut PutStream, req: &Request) -> Response {
+    fn stage_chunk(
+        &self,
+        st: &mut PutStream,
+        req: &Request,
+        envelope: Option<PreparedEnvelope>,
+    ) -> Response {
         let (seq, data) = match stream::decode_chunk(&req.payload) {
             Ok(parts) => parts,
             Err(e) => return Self::bad(Op::PutChunk, e.to_string()),
@@ -993,9 +1139,11 @@ impl Service {
             self.counter("serve.quota.rejected", 1);
             return Response::status_only(Op::PutChunk, Status::QuotaExceeded, detail);
         }
+        let envelope = envelope.unwrap_or_else(|| PreparedEnvelope::new(CHUNK_KIND, data.clone()));
+        debug_assert!(envelope.kind() == CHUNK_KIND && envelope.payload() == &data);
         match self
             .vault
-            .put(&chunk_key(&st.composed, st.gen, seq), ObjectKind::Opaque, &data)
+            .put_prepared(&chunk_key(&st.composed, st.gen, seq), &envelope)
         {
             Ok(()) => {
                 st.next_seq += 1;
@@ -1042,11 +1190,15 @@ impl Service {
             return Self::bad(Op::PutCommit, detail);
         }
         // Re-read the staged chunks in order, folding the whole-object
-        // digest — O(chunk) memory no matter how large the object.
+        // digest inside each read's verification sweep — O(chunk) memory
+        // no matter how large the object.
         let mut fold = FNV_BASIS;
         for seq in 0..chunks {
-            match self.vault.get(&chunk_key(&st.composed, st.gen, seq)) {
-                Ok((_, data)) => fold = fnv64_fold(fold, &data),
+            match self
+                .vault
+                .get_folding(&chunk_key(&st.composed, st.gen, seq), &|_, _| fold)
+            {
+                Ok((_, _, advanced)) => fold = advanced,
                 Err(e) => {
                     self.abort_stream(&st);
                     return Self::vault_failure(Op::PutCommit, &e);
@@ -1122,14 +1274,15 @@ impl Service {
                 .map(|s| s.gen)
                 .collect()
         };
-        let prefix = chunk_prefix(composed);
         let keeps: Vec<String> = std::iter::once(keep)
             .chain(live)
             .map(|g| format!("{composed}..g{g:016x}.c"))
             .collect();
-        let Ok(keys) = self.vault.keys() else { return };
+        let Ok(keys) = self.vault.keys_with_prefix(&chunk_prefix(composed)) else {
+            return;
+        };
         for key in keys {
-            if key.starts_with(&prefix) && !keeps.iter().any(|k| key.starts_with(k.as_str())) {
+            if !keeps.iter().any(|k| key.starts_with(k.as_str())) {
                 let _ = self.vault.delete(&key);
             }
         }
@@ -1144,8 +1297,9 @@ impl Service {
             Ok(p) => p,
             Err(e) => return Self::bad(Op::GetBegin, e.to_string()),
         };
-        match self.vault.get(&skey) {
-            Ok((ObjectKind::StreamManifest, payload)) => match decode_manifest(&payload) {
+        // A plain object's digest is folded in the read's own sweep.
+        match self.vault.get_folding(&skey, &|_, _| FNV_BASIS) {
+            Ok((ObjectKind::StreamManifest, payload, _)) => match decode_manifest(&payload) {
                 Ok(m) => Response {
                     op: Op::GetBegin,
                     status: Status::Ok,
@@ -1158,7 +1312,7 @@ impl Service {
                     format!("stored stream manifest corrupt: {e}"),
                 ),
             },
-            Ok((kind, payload)) => {
+            Ok((kind, payload, digest)) => {
                 // Plain objects stream too: slice them virtually at the
                 // caller's preferred chunk size.
                 let chunk_size = if preferred == 0 {
@@ -1173,7 +1327,7 @@ impl Service {
                     total_len: payload.len() as u64,
                     chunk_size,
                     chunks: stream::chunk_count(payload.len() as u64, chunk_size),
-                    digest: fnv64_fold(FNV_BASIS, &payload),
+                    digest,
                 };
                 Response {
                     op: Op::GetBegin,
@@ -1186,91 +1340,95 @@ impl Service {
         }
     }
 
-    fn op_get_chunk(&self, req: &Request) -> Response {
+    /// A staged chunk record's response is sealed in the vault sweep
+    /// that verifies the record.
+    fn op_get_chunk(&self, req: &Request) -> Reply {
         let skey = match storage_key(&req.tenant, &req.key) {
             Ok(k) => k,
-            Err(e) => return Self::bad(Op::GetChunk, e.to_string()),
+            Err(e) => return Self::bad(Op::GetChunk, e.to_string()).into(),
         };
         let (seq, chunk_size) = match stream::decode_get_chunk(&req.payload) {
             Ok(parts) => parts,
-            Err(e) => return Self::bad(Op::GetChunk, e.to_string()),
+            Err(e) => return Self::bad(Op::GetChunk, e.to_string()).into(),
         };
-        match self.vault.get(&skey) {
-            Ok((ObjectKind::StreamManifest, payload)) => {
-                let m = match decode_manifest(&payload) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        return Response::status_only(
-                            Op::GetChunk,
-                            Status::Damaged,
-                            format!("stored stream manifest corrupt: {e}"),
-                        )
-                    }
-                };
-                if chunk_size != m.info.chunk_size {
-                    return Self::bad(
+        let m = match self.vault.get(&skey) {
+            Ok((ObjectKind::StreamManifest, payload)) => match decode_manifest(&payload) {
+                Ok(m) => m,
+                Err(e) => {
+                    return Response::status_only(
                         Op::GetChunk,
+                        Status::Damaged,
+                        format!("stored stream manifest corrupt: {e}"),
+                    )
+                    .into()
+                }
+            },
+            Ok((kind, payload)) => return Self::slice_chunk(kind, &payload, seq, chunk_size).into(),
+            Err(e) => return Self::vault_failure(Op::GetChunk, &e).into(),
+        };
+        if chunk_size != m.info.chunk_size {
+            return Self::bad(
+                Op::GetChunk,
+                format!(
+                    "chunk size {chunk_size} does not match stored geometry {}; \
+                     the object changed — restart with get-begin",
+                    m.info.chunk_size
+                ),
+            )
+            .into();
+        }
+        if seq >= m.info.chunks {
+            return Self::bad(
+                Op::GetChunk,
+                format!("chunk {seq} out of range ({} chunks)", m.info.chunks),
+            )
+            .into();
+        }
+        // The response payload is the chunk payload: the sequence number,
+        // then the record's bytes (see `stream::encode_chunk`).
+        let head = ResponseHead::new(Op::GetChunk, Status::Ok, m.kind.name(), &seq.to_le_bytes());
+        match self
+            .vault
+            .get_folding(&chunk_key(&skey, m.gen, seq), &|_, len| head.seal_start(len))
+        {
+            Ok((_, data, seal)) => {
+                let start = u64::from(seq) * u64::from(m.info.chunk_size);
+                let expected = (m.info.total_len - start).min(u64::from(m.info.chunk_size));
+                if data.len() as u64 != expected {
+                    return Response::status_only(
+                        Op::GetChunk,
+                        Status::Damaged,
                         format!(
-                            "chunk size {chunk_size} does not match stored geometry {}; \
-                             the object changed — restart with get-begin",
-                            m.info.chunk_size
+                            "chunk {seq} is {} bytes, manifest expects {expected}",
+                            data.len()
                         ),
-                    );
+                    )
+                    .into();
                 }
-                if seq >= m.info.chunks {
-                    return Self::bad(
-                        Op::GetChunk,
-                        format!("chunk {seq} out of range ({} chunks)", m.info.chunks),
-                    );
-                }
-                match self.vault.get(&chunk_key(&skey, m.gen, seq)) {
-                    Ok((_, data)) => {
-                        let start = u64::from(seq) * u64::from(m.info.chunk_size);
-                        let expected =
-                            (m.info.total_len - start).min(u64::from(m.info.chunk_size));
-                        if data.len() as u64 != expected {
-                            return Response::status_only(
-                                Op::GetChunk,
-                                Status::Damaged,
-                                format!(
-                                    "chunk {seq} is {} bytes, manifest expects {expected}",
-                                    data.len()
-                                ),
-                            );
-                        }
-                        Response {
-                            op: Op::GetChunk,
-                            status: Status::Ok,
-                            detail: m.kind.name().to_string(),
-                            payload: stream::encode_chunk(seq, &data),
-                        }
-                    }
-                    Err(e) => Self::vault_failure(Op::GetChunk, &e),
-                }
+                head.seal(&data, seal).into()
             }
-            Ok((kind, payload)) => {
-                if stream::validate_chunk_size(chunk_size).is_err() {
-                    return Self::bad(Op::GetChunk, format!("bad chunk size {chunk_size}"));
-                }
-                let start = u64::from(seq) * u64::from(chunk_size);
-                if start >= payload.len() as u64 {
-                    return Self::bad(
-                        Op::GetChunk,
-                        format!("chunk {seq} out of range ({} bytes)", payload.len()),
-                    );
-                }
-                let end = (start + u64::from(chunk_size)).min(payload.len() as u64);
-                Response {
-                    op: Op::GetChunk,
-                    status: Status::Ok,
-                    detail: kind.name().to_string(),
-                    payload: stream::encode_chunk(
-                        seq,
-                        &payload[start as usize..end as usize],
-                    ),
-                }
-            }
-            Err(e) => Self::vault_failure(Op::GetChunk, &e),
+            Err(e) => Self::vault_failure(Op::GetChunk, &e).into(),
+        }
+    }
+
+    /// Chunk `seq` of a plain object, sliced virtually at `chunk_size`.
+    fn slice_chunk(kind: ObjectKind, payload: &Bytes, seq: u32, chunk_size: u32) -> Response {
+        if stream::validate_chunk_size(chunk_size).is_err() {
+            return Self::bad(Op::GetChunk, format!("bad chunk size {chunk_size}"));
+        }
+        let start = u64::from(seq) * u64::from(chunk_size);
+        if start >= payload.len() as u64 {
+            return Self::bad(
+                Op::GetChunk,
+                format!("chunk {seq} out of range ({} bytes)", payload.len()),
+            );
+        }
+        let end = (start + u64::from(chunk_size)).min(payload.len() as u64);
+        Response {
+            op: Op::GetChunk,
+            status: Status::Ok,
+            detail: kind.name().to_string(),
+            payload: stream::encode_chunk(seq, &payload[start as usize..end as usize]),
         }
     }
 

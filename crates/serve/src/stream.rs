@@ -17,7 +17,8 @@
 //! The generation id makes commits atomic: chunks stage under a fresh
 //! generation nobody references, and the single manifest write flips
 //! readers over. Orphaned generations (aborted or crashed streams) are
-//! invisible to GETs and swept at the next commit to the same key. The
+//! invisible to GETs and swept at the next commit to the same key, or
+//! when a service starts over the store. The
 //! `..` separator can never appear in a client-supplied key (see
 //! [`storage_key`](crate::proto::storage_key)), so chunk records can
 //! never collide with real objects.
@@ -80,6 +81,23 @@ pub fn chunk_key(composed: &str, gen: u64, seq: u32) -> String {
 pub fn chunk_prefix(composed: &str) -> String {
     format!("{composed}..g")
 }
+
+/// Split a [`chunk_key`] into the composed key and generation it stages
+/// under; `None` for any other key.
+pub fn parse_chunk_key(key: &str) -> Option<(&str, u64)> {
+    let (composed, record) = key.split_once("..g")?;
+    let (gen, seq) = record.split_once(".c")?;
+    let fixed = |field: &str, width: usize, radix: u32| {
+        field.len() == width && field.chars().all(|c| c.is_digit(radix))
+    };
+    if !fixed(gen, 16, 16) || !fixed(seq, 8, 10) {
+        return None;
+    }
+    Some((composed, u64::from_str_radix(gen, 16).ok()?))
+}
+
+/// The kind every staged chunk record is stored as.
+pub const CHUNK_KIND: ObjectKind = ObjectKind::Opaque;
 
 /// Number of chunks a `total_len`-byte object splits into (zero-byte
 /// objects carry zero chunks).
@@ -346,6 +364,13 @@ mod tests {
             "cms.aod..g0000000000000001.c00000000"
         );
         assert!(chunk_key("cms.aod", 1, 0).starts_with(&chunk_prefix("cms.aod")));
+        assert_eq!(
+            parse_chunk_key(&chunk_key("cms.a.b", 0xabc, 17)),
+            Some(("cms.a.b", 0xabc))
+        );
+        for other in ["cms.aod", "cms.aod..gxyz.c00000000", "cms.aod..g1.c1"] {
+            assert_eq!(parse_chunk_key(other), None, "{other}");
+        }
         assert_eq!(chunk_count(0, 1024), 0);
         assert_eq!(chunk_count(1, 1024), 1);
         assert_eq!(chunk_count(1024, 1024), 1);

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -146,8 +147,9 @@ impl StorageBackend for MemoryBackend {
             .objects
             .lock()
             .expect("backend poisoned")
-            .keys()
-            .filter(|k| k.starts_with(prefix))
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(k, _)| k)
+            .take_while(|k| k.starts_with(prefix))
             .cloned()
             .collect())
     }

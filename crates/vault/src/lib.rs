@@ -57,8 +57,8 @@ pub use erasure::{Erasure, ErasureError};
 pub use flaky::{FlakyBackend, FlakyConfig};
 pub use object::{
     decode_envelope, encode_envelope, envelope_digest, ColumnarVerifier, ConditionsVerifier,
-    EnvelopeError, ObjectKind, SealedTierVerifier, Verifier, ENVELOPE_MAGIC, ENVELOPE_OVERHEAD,
-    ENVELOPE_VERSION, MAX_PAYLOAD_LEN,
+    EnvelopeError, ObjectKind, PreparedEnvelope, SealedTierVerifier, Verifier, ENVELOPE_MAGIC,
+    ENVELOPE_OVERHEAD, ENVELOPE_VERSION, MAX_PAYLOAD_LEN,
 };
 pub use policy::RetryPolicy;
 pub use shard::{

@@ -21,7 +21,7 @@
 
 use bytes::Bytes;
 use daspos_conditions::Snapshot;
-use daspos_tiers::codec::{self, fnv64_fold, FNV_BASIS};
+use daspos_tiers::codec::{self, fnv64_fold, fnv64_fold_many, FNV_BASIS};
 
 /// Envelope magic: **D**ASPOS **P**reservation **V**ault **O**bject.
 pub const ENVELOPE_MAGIC: &[u8; 4] = b"DPVO";
@@ -182,19 +182,94 @@ pub fn envelope_digest(kind: ObjectKind, payload: &[u8]) -> u64 {
 ///
 /// If the payload is longer than [`MAX_PAYLOAD_LEN`].
 pub fn encode_envelope(kind: ObjectKind, payload: &Bytes) -> Bytes {
-    assert!(
-        payload.len() <= MAX_PAYLOAD_LEN,
-        "a {}-byte payload exceeds the envelope's u32 length fields",
-        payload.len()
-    );
-    let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD + payload.len());
-    out.extend_from_slice(ENVELOPE_MAGIC);
-    out.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
-    out.push(kind.as_u8());
-    out.extend_from_slice(&envelope_digest(kind, payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    Bytes::from(out)
+    PreparedEnvelope::new(kind, payload.clone()).encode()
+}
+
+/// A payload and the envelope digest the vault computed for it: what
+/// [`Vault::put_prepared`](crate::Vault::put_prepared) stores.
+///
+/// The fields are private and the only constructors compute the digest
+/// themselves, so a vault never stores a digest it did not compute.
+/// [`folding`](PreparedEnvelope::folding) lets a caller that must digest
+/// the same bytes anyway — a server checking the frame seal around a
+/// PUT payload — advance its own folds in the same multi-lane pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PreparedEnvelope {
+    kind: ObjectKind,
+    payload: Bytes,
+    digest: u64,
+}
+
+impl PreparedEnvelope {
+    /// Digest `payload` for an envelope of `kind`.
+    pub fn new(kind: ObjectKind, payload: Bytes) -> PreparedEnvelope {
+        PreparedEnvelope::folding(kind, payload, &mut [])
+    }
+
+    /// [`new`](PreparedEnvelope::new) that also advances every `riders`
+    /// lane — a start state and the bytes to fold into it — in the pass
+    /// that digests the payload: afterwards `riders[i].0` equals
+    /// `fnv64_fold(old riders[i].0, riders[i].1)`. A rider over the
+    /// payload's own bytes costs about nothing extra (see
+    /// [`fnv64_fold_many`]).
+    pub fn folding(
+        kind: ObjectKind,
+        payload: Bytes,
+        riders: &mut [(u64, &[u8])],
+    ) -> PreparedEnvelope {
+        let digest = {
+            let mut lanes = Vec::with_capacity(1 + riders.len());
+            lanes.push((kind_fold(kind), &payload[..]));
+            lanes.extend(riders.iter().copied());
+            fnv64_fold_many(&mut lanes);
+            for (rider, lane) in riders.iter_mut().zip(&lanes[1..]) {
+                rider.0 = lane.0;
+            }
+            lanes[0].0
+        };
+        PreparedEnvelope {
+            kind,
+            payload,
+            digest,
+        }
+    }
+
+    /// The object kind the envelope records.
+    pub fn kind(&self) -> ObjectKind {
+        self.kind
+    }
+
+    /// The payload the envelope wraps.
+    pub fn payload(&self) -> &Bytes {
+        &self.payload
+    }
+
+    /// The envelope digest, `fnv64(kind byte ++ payload)`.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Serialize the envelope.
+    ///
+    /// # Panics
+    ///
+    /// If the payload is longer than [`MAX_PAYLOAD_LEN`].
+    pub(crate) fn encode(&self) -> Bytes {
+        let payload = &self.payload;
+        assert!(
+            payload.len() <= MAX_PAYLOAD_LEN,
+            "a {}-byte payload exceeds the envelope's u32 length fields",
+            payload.len()
+        );
+        let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD + payload.len());
+        out.extend_from_slice(ENVELOPE_MAGIC);
+        out.extend_from_slice(&ENVELOPE_VERSION.to_le_bytes());
+        out.push(self.kind.as_u8());
+        out.extend_from_slice(&self.digest.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+        Bytes::from(out)
+    }
 }
 
 /// An envelope whose header parsed, before its digest is checked.
@@ -337,6 +412,23 @@ mod tests {
             let (k, p) = decode_envelope(&enc).unwrap();
             assert_eq!(k, kind);
             assert_eq!(p, payload);
+        }
+    }
+
+    #[test]
+    fn prepared_envelopes_digest_like_the_serial_fold_and_carry_their_riders() {
+        let payload = Bytes::from((0..1000u32).map(|i| (i * 7) as u8).collect::<Vec<u8>>());
+        for kind in ObjectKind::ALL {
+            let mut riders: [(u64, &[u8]); 2] = [(FNV_BASIS, &payload), (42, b"other bytes")];
+            let prepared = PreparedEnvelope::folding(kind, payload.clone(), &mut riders);
+            assert_eq!(prepared.digest(), envelope_digest(kind, &payload));
+            assert_eq!(riders[0].0, codec::fnv64(&payload));
+            assert_eq!(riders[1].0, fnv64_fold(42, b"other bytes"));
+            assert_eq!(prepared, PreparedEnvelope::new(kind, payload.clone()));
+            assert_eq!(
+                decode_envelope(&prepared.encode()).unwrap(),
+                (kind, payload.clone())
+            );
         }
     }
 

@@ -35,6 +35,14 @@
 //! shards of a stripe in one pass too. Every digest is still computed
 //! over the same bytes and compared; the passes only run side by side.
 //!
+//! A caller that must digest the same payload can join those passes
+//! instead of making its own. [`Vault::put_prepared`] stores a
+//! [`PreparedEnvelope`] whose envelope digest was computed in a pass
+//! the caller's folds rode (a server checking the frame seal around a
+//! PUT payload), and [`Vault::get_folding`] advances a caller's fold
+//! over the returned payload as one more lane of the reconstruction
+//! sweep. The vault computes every digest it stores or checks itself.
+//!
 //! The [`scrub`](Vault::scrub) pass makes read-time resilience a
 //! recurring, deterministic sweep: it walks the union of keys across
 //! all backends and rewrites damage byte-identically — copied from the
@@ -59,8 +67,8 @@ use daspos_tiers::codec::{fnv64, fnv64_fold, fnv64_fold_many, FNV_BASIS};
 use crate::backend::{StorageBackend, StorageError};
 use crate::erasure::Erasure;
 use crate::object::{
-    encode_envelope, parse_envelope, ColumnarVerifier, ConditionsVerifier, ObjectKind,
-    ParsedEnvelope, SealedTierVerifier, Verifier, ENVELOPE_OVERHEAD, MAX_PAYLOAD_LEN,
+    parse_envelope, ColumnarVerifier, ConditionsVerifier, ObjectKind, ParsedEnvelope,
+    PreparedEnvelope, SealedTierVerifier, Verifier, ENVELOPE_OVERHEAD, MAX_PAYLOAD_LEN,
 };
 use crate::policy::RetryPolicy;
 use crate::shard::{encode_shards, parse_shard, ParsedShard, ShardHeader};
@@ -427,7 +435,14 @@ struct Recovered {
     /// Recovery decoded the envelope from shards, so every repair from
     /// it is a rebuild rather than a copy.
     rebuilt: bool,
+    /// The caller's [`Rider`] advanced over `payload`, when one rode.
+    fold: Option<u64>,
 }
+
+/// A caller's digest riding a read's verification sweep: given the
+/// recovered object's kind and payload length, the state its fold over
+/// the payload starts from.
+type Rider<'a> = &'a dyn Fn(ObjectKind, usize) -> u64;
 
 /// Why a key's winning generation could not be recovered.
 struct Loss {
@@ -622,8 +637,15 @@ impl Vault {
     /// than [`MAX_PAYLOAD_LEN`] is refused with [`VaultError::TooLarge`]
     /// before any backend is written.
     pub fn put(&self, key: &str, kind: ObjectKind, payload: &Bytes) -> Result<(), VaultError> {
-        check_payload_len(key, payload.len())?;
-        let envelope = encode_envelope(kind, payload);
+        self.put_prepared(key, &PreparedEnvelope::new(kind, payload.clone()))
+    }
+
+    /// [`put`](Vault::put) of a payload whose envelope digest was
+    /// already computed — by [`PreparedEnvelope::folding`], in the pass
+    /// that also checked the frame the payload arrived in.
+    pub fn put_prepared(&self, key: &str, envelope: &PreparedEnvelope) -> Result<(), VaultError> {
+        check_payload_len(key, envelope.payload().len())?;
+        let envelope = envelope.encode();
         let mut first_err = None;
         for (i, slot) in self.encode_slots(&envelope).iter().enumerate() {
             if let Err(e) = self.put_slot(key, i, slot) {
@@ -813,11 +835,17 @@ impl Vault {
     /// already verified it. An erasure stripe needs `k` winning shards,
     /// decodes them, and verifies the result end to end (object digest,
     /// envelope decode, deep verifier) before anyone trusts the bytes.
+    ///
+    /// A `rider` folds the payload too: as a third lane of the erasure
+    /// sweep that checks the object and envelope digests, or after
+    /// classification for a replica stripe. Its fold is returned only
+    /// with an object that passed every check.
     fn reconstruct(
         &self,
         key: &str,
         states: &[SlotState],
         winner: Option<(Generation, usize)>,
+        rider: Option<Rider<'_>>,
     ) -> Result<Recovered, Loss> {
         let generation = winner.map(|(g, _)| g);
         match &self.layout {
@@ -837,11 +865,15 @@ impl Vault {
                 };
                 let parsed =
                     parse_envelope(envelope).expect("a healthy replica slot holds an envelope");
+                let fold = rider.map(|start| {
+                    fnv64_fold(start(parsed.kind, parsed.payload.len()), &parsed.payload)
+                });
                 Ok(Recovered {
                     kind: parsed.kind,
                     payload: parsed.payload,
                     envelope: envelope.clone(),
                     rebuilt: false,
+                    fold,
                 })
             }
             Layout::Erasure(ec) => {
@@ -877,18 +909,23 @@ impl Vault {
                 );
                 // The object digest covers the envelope header and then
                 // its payload, the envelope digest the kind byte and
-                // then the same payload: one two-lane pass computes
-                // both. An envelope whose header does not parse gets the
-                // object digest alone, which is checked first either way.
+                // then the same payload: one pass computes both, and a
+                // rider's fold over the payload as a third lane. An
+                // envelope whose header does not parse gets the object
+                // digest alone, which is checked first either way.
                 let parsed = parse_envelope(&envelope);
-                let (object, envelope_digest) = match &parsed {
+                let (object, envelope_digest, fold) = match &parsed {
                     Ok(parsed) => {
+                        let payload = &parsed.payload[..];
                         let object_head = fnv64_fold(FNV_BASIS, &envelope[..ENVELOPE_OVERHEAD]);
-                        let mut lanes = [(object_head, &parsed.payload[..]), parsed.digest_lane()];
+                        let mut lanes = vec![(object_head, payload), parsed.digest_lane()];
+                        if let Some(start) = rider {
+                            lanes.push((start(parsed.kind, payload.len()), payload));
+                        }
                         fnv64_fold_many(&mut lanes);
-                        (lanes[0].0, lanes[1].0)
+                        (lanes[0].0, lanes[1].0, lanes.get(2).map(|lane| lane.0))
                     }
-                    Err(_) => (fnv64(&envelope), 0),
+                    Err(_) => (fnv64(&envelope), 0, None),
                 };
                 if object != object_digest {
                     return Err(damaged("reconstructed object digest mismatch".to_string()));
@@ -903,6 +940,7 @@ impl Vault {
                     payload: parsed.payload,
                     envelope,
                     rebuilt: true,
+                    fold,
                 })
             }
         }
@@ -928,13 +966,39 @@ impl Vault {
     /// [`heal_on_get`](VaultBuilder::heal_on_get), corrupt and outvoted
     /// slots are rewritten (best-effort); absent slots wait for scrub.
     pub fn get(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
+        let recovered = self.read(key, None)?;
+        Ok((recovered.kind, recovered.payload))
+    }
+
+    /// [`get`](Vault::get) that also folds the returned payload into a
+    /// caller's FNV-1a digest. Once the object's kind and payload length
+    /// are known, `start(kind, len)` gives the state the fold starts
+    /// from; the advanced state comes back with the object. Under
+    /// erasure the fold is a third lane of the sweep that checks the
+    /// reconstruction's object and envelope digests, so it costs about
+    /// no extra pass; a replica stripe folds after classification. The
+    /// fold is returned only with an object that passed every check a
+    /// `get` makes.
+    pub fn get_folding(
+        &self,
+        key: &str,
+        start: &dyn Fn(ObjectKind, usize) -> u64,
+    ) -> Result<(ObjectKind, Bytes, u64), VaultError> {
+        let recovered = self.read(key, Some(start))?;
+        let fold = recovered.fold.expect("a rider always folds a recovered object");
+        Ok((recovered.kind, recovered.payload, fold))
+    }
+
+    /// The read behind [`get`](Vault::get) and
+    /// [`get_folding`](Vault::get_folding).
+    fn read(&self, key: &str, rider: Option<Rider<'_>>) -> Result<Recovered, VaultError> {
         let states = self.classify_stripe(key);
         if states.iter().all(|s| matches!(s, SlotState::Missing)) {
             return Err(VaultError::NotFound(key.to_string()));
         }
         let winner = vote(&states);
         let recovered = self
-            .reconstruct(key, &states, winner)
+            .reconstruct(key, &states, winner, rider)
             .map_err(|loss| loss.error)?;
         let generation = winner.map(|(g, _)| g);
         if self.heal_on_get && states.iter().any(|s| s.is_damaged(generation)) {
@@ -945,14 +1009,22 @@ impl Vault {
                 }
             }
         }
-        Ok((recovered.kind, recovered.payload))
+        Ok(recovered)
     }
 
     /// All keys stored on at least one backend, ascending.
     pub fn keys(&self) -> Result<Vec<String>, VaultError> {
+        self.keys_with_prefix("")
+    }
+
+    /// The keys starting with `prefix` stored on at least one backend,
+    /// ascending. Each backend is asked for the prefix alone, so only
+    /// matching keys are returned and merged; the in-memory backend
+    /// answers from a range of its ordered map.
+    pub fn keys_with_prefix(&self, prefix: &str) -> Result<Vec<String>, VaultError> {
         let mut keys = BTreeSet::new();
         for backend in &self.backends {
-            keys.extend(self.with_retry(|| backend.list(""))?);
+            keys.extend(self.with_retry(|| backend.list(prefix))?);
         }
         Ok(keys.into_iter().collect())
     }
@@ -1006,7 +1078,7 @@ impl Vault {
 
         let mut repaired_here = 0u64;
         let mut rebuilt_here = 0u64;
-        let recovered = match self.reconstruct(key, states, winner) {
+        let recovered = match self.reconstruct(key, states, winner, None) {
             Ok(recovered) => {
                 if repair && !bad_slots.is_empty() {
                     let slots = self.encode_slots(&recovered.envelope);
@@ -1169,6 +1241,7 @@ mod tests {
     use super::*;
     use crate::backend::MemoryBackend;
     use crate::flaky::{FlakyBackend, FlakyConfig};
+    use crate::object::encode_envelope;
     use daspos_obs::{MemoryCollector, MetricsRegistry};
     use daspos_tiers::codec;
 
@@ -1258,6 +1331,45 @@ mod tests {
         assert_eq!(kind, ObjectKind::Opaque);
         assert_eq!(got, payload);
         assert!(matches!(vault.get("nope"), Err(VaultError::NotFound(_))));
+    }
+
+    #[test]
+    fn get_folding_returns_the_callers_fold_only_with_a_verified_object() {
+        let payload = Bytes::from((0..5000u32).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let (replicas, replica_backends) = three_replica_vault();
+        let (erasure, erasure_backends) = erasure_vault(4, 2, 6);
+        for (vault, backends) in [(&replicas, &replica_backends), (&erasure, &erasure_backends)] {
+            vault.put("obj", ObjectKind::Container, &payload).unwrap();
+            let seen = std::cell::Cell::new(None);
+            let start = |kind: ObjectKind, len: usize| {
+                seen.set(Some((kind, len)));
+                7
+            };
+            let (kind, got, fold) = vault.get_folding("obj", &start).unwrap();
+            assert_eq!((kind, &got), (ObjectKind::Container, &payload));
+            assert_eq!(seen.get(), Some((ObjectKind::Container, payload.len())));
+            assert_eq!(fold, fnv64_fold(7, &payload));
+
+            // A stripe past recovery returns an error and no fold.
+            for b in backends.iter().take(3) {
+                b.put("obj", &Bytes::from_static(b"rot")).unwrap();
+            }
+            let err = vault.get_folding("obj", &start).unwrap_err();
+            assert_eq!(err, vault.get("obj").unwrap_err());
+            assert!(matches!(vault.get_folding("nope", &start), Err(VaultError::NotFound(_))));
+        }
+    }
+
+    #[test]
+    fn keys_with_prefix_lists_only_the_prefix() {
+        let (vault, backends) = erasure_vault(2, 1, 3);
+        for key in ["a.x", "a..g1.c0", "a..g1.c1", "ab..g1.c0", "b"] {
+            vault.put(key, ObjectKind::Opaque, &Bytes::from_static(b"v")).unwrap();
+        }
+        backends[0].delete("a..g1.c1").unwrap();
+        assert_eq!(vault.keys_with_prefix("a..g").unwrap(), ["a..g1.c0", "a..g1.c1"]);
+        assert_eq!(vault.keys_with_prefix("zz").unwrap(), Vec::<String>::new());
+        assert_eq!(vault.keys().unwrap(), vault.keys_with_prefix("").unwrap());
     }
 
     #[test]
